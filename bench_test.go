@@ -216,7 +216,8 @@ func cycleCore(b *testing.B, cfg cpu.Config) *cpu.Core {
 }
 
 // observabilityCore builds a Skia-configured core on a small workload
-// for the disabled- vs enabled-observability overhead pair below.
+// for the enabled-observability benchmarks below; BenchmarkFrontEndCycle
+// is their disabled-path counterpart.
 func observabilityCore(b *testing.B) *cpu.Core {
 	b.Helper()
 	return cycleCore(b, cpu.SkiaConfig())
@@ -264,23 +265,6 @@ func BenchmarkFrontEndCycle_Baseline(b *testing.B) {
 	benchCycle(b, func() *cpu.Core { return cycleCore(b, cpu.DefaultConfig()) })
 }
 
-// BenchmarkFrontEndCycle_NoObservability is the zero-overhead guard's
-// baseline: the simulated core with no collector and no tracer. Compare
-// ns/op against _WithTracer; the disabled path must stay within noise
-// (<2%) of what the pre-observability core cost.
-func BenchmarkFrontEndCycle_NoObservability(b *testing.B) {
-	c := observabilityCore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c.Run(1000) == 0 {
-			b.StopTimer()
-			c = observabilityCore(b)
-			b.StartTimer()
-		}
-	}
-	b.ReportMetric(float64(c.Retired())/float64(b.Elapsed().Seconds())/1e6, "Minsts/s")
-}
-
 // BenchmarkFrontEndCycle_WithTracer measures the same loop with the
 // full observability stack attached: an interval collector sampling
 // every 10k instructions and a ring tracer receiving every event.
@@ -306,7 +290,7 @@ func BenchmarkFrontEndCycle_WithTracer(b *testing.B) {
 // BenchmarkFrontEndCycle_WithAttribution measures the loop with a miss
 // attribution engine attached: per-cycle FTQ sampling, per-miss
 // classification, and per-stall-cycle accounting. Compare ns/op against
-// _NoObservability; attribution must stay within a few percent (the
+// BenchmarkFrontEndCycle; attribution must stay within a few percent (the
 // <2% guard is on the *disabled* path, which stays a nil check —
 // enabled attribution is expected to cost slightly more than tracing
 // since it hooks every cycle).

@@ -42,12 +42,6 @@ type Cache struct {
 	setMask  uint64
 	tick     uint64
 	stats    Stats
-
-	// OnEvict, when non-nil, observes every line leaving the cache —
-	// capacity evictions and explicit invalidations — with the line's
-	// base address. The front end uses it to drop the line's memoized
-	// shadow decodes; nil costs one comparison per eviction.
-	OnEvict func(lineAddr uint64)
 }
 
 // New builds a cache of sizeBytes capacity with the given associativity
@@ -99,9 +93,7 @@ func MustNew(sizeBytes, ways, lineSize int) *Cache {
 }
 
 // Clone returns an independent deep copy of the cache: same geometry,
-// same resident lines and LRU state, same statistics. The OnEvict hook
-// is deliberately NOT copied — it is a closure over the original
-// owner's structures; whoever owns the clone must re-wire it.
+// same resident lines and LRU state, same statistics.
 func (c *Cache) Clone() *Cache {
 	n := &Cache{
 		ways:     c.ways,
@@ -122,12 +114,6 @@ func (c *Cache) Clone() *Cache {
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	l := addr >> c.lineBits
 	return int(l & c.setMask), l >> c.setBits
-}
-
-// lineAddr reconstructs a resident line's base address from its set and
-// tag, inverting index.
-func (c *Cache) lineAddr(set int, tag uint64) uint64 {
-	return (tag<<c.setBits | uint64(set)) << c.lineBits
 }
 
 // find returns the way index of the line or -1.
@@ -198,9 +184,6 @@ func (c *Cache) fill(set int, tag uint64, prefetched bool) {
 		if ln.prefetched && !ln.used {
 			c.stats.PollutionEvicted++
 		}
-		if c.OnEvict != nil {
-			c.OnEvict(c.lineAddr(set, ln.tag))
-		}
 	}
 	*ln = line{tag: tag, valid: true, lru: c.tick, prefetched: prefetched, used: !prefetched}
 }
@@ -217,9 +200,6 @@ func (c *Cache) Invalidate(addr uint64) {
 	set, tag := c.index(addr)
 	if w := c.find(set, tag); w >= 0 {
 		c.sets[set][w] = line{}
-		if c.OnEvict != nil {
-			c.OnEvict(c.lineAddr(set, tag))
-		}
 	}
 }
 

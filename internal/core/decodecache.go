@@ -1,20 +1,24 @@
-// The decoded-line cache: memoizes Shadow Branch Decoder results for
-// hot L1-I lines. The paper keeps the SBD off the processor's critical
-// path because length-decoding a line is expensive and redundant for
-// resident lines (Section 3.2); the simulator pays that cost in
-// software every time a line re-enters the FTQ. Program images are
-// immutable after linking, so a (lineAddr, offset) pair always decodes
-// to the same branches — memoizing the result is purely a simulator
-// throughput optimization and must be invisible to every statistic.
+// The shadow-decode memo: memoizes Shadow Branch Decoder results. The
+// paper keeps the SBD off the processor's critical path because
+// length-decoding a line is expensive and redundant for resident lines
+// (Section 3.2); the simulator pays that cost in software every time a
+// line re-enters the FTQ. Program images are immutable after linking,
+// so a (lineAddr, offset, head/tail) region always decodes to the same
+// branches — memoizing the result is purely a simulator throughput
+// optimization and must be invisible to every statistic.
 //
 // To stay invisible, each entry stores not just the extracted branches
 // but the full observable side effect of the decode: the SBDStats
 // deltas (region counted, discarded/no-valid-path flags, branch count)
 // and the path-family count reported through the OnHeadPaths hook. A
-// cache hit replays all of them, so a run with the cache enabled is
-// bit-identical — report JSON included — to a run without it. The
-// differential mode re-decodes on every hit and counts mismatches,
-// which the property and differential tests pin to zero.
+// hit replays all of them, so a run with the memo enabled is
+// bit-identical — report JSON included — to a run without it.
+//
+// The memo never forgets. The front end decodes only lines inside the
+// program image, so it holds at most program lines × 64 offsets × 2
+// kinds regions; a suite benchmark touches 2.1K–13.5K of them in 1M
+// instructions, and dropping any would only make the simulator decode
+// the same bytes again.
 package core
 
 // regionKind distinguishes head from tail entries under one key space.
@@ -25,271 +29,105 @@ const (
 	regionTail
 )
 
-// DecodeCacheStats counts cache events for observability and tests.
+// DecodeCacheStats counts memo lookups for observability and tests.
 type DecodeCacheStats struct {
-	Hits          uint64
-	Misses        uint64
-	Invalidations uint64 // lines dropped by InvalidateLine
-	Evictions     uint64 // lines dropped by the capacity bound
-	Mismatches    uint64 // differential-mode disagreements (must stay 0)
+	Hits   uint64
+	Misses uint64
 }
 
-// cachedDecode is one memoized head or tail decode.
+// cachedDecode is one memoized head or tail decode. Its branches are
+// DecodeCache.branches[lo:hi].
 type cachedDecode struct {
+	next      int32 // the line's next-older entry, -1 ends the chain
 	off       int32
 	kind      regionKind
 	noValid   bool // head outcome: zero valid paths
 	discarded bool // head outcome: over the MaxValidPaths cap
 	nFamilies int32
-	branches  []ShadowBranch
+	lo, hi    int32
 }
 
-// lineDecodes holds every memoized decode of one cache line. A line is
-// entered from only a handful of distinct offsets (its basic-block
-// entry points and post-branch tail starts), so a small linear list
-// beats a nested map.
-type lineDecodes struct {
-	entries []cachedDecode
-}
-
-// DecodeCache memoizes SBD head/tail decodes keyed by
-// (lineAddr, offset). It is not safe for concurrent use; each simulated
-// core owns its own instance (mirroring how each core owns its SBD).
+// DecodeCache memoizes SBD head/tail decodes keyed by (lineAddr,
+// offset, kind). Entries and their branches live in two append-only
+// arenas; each line's entries are chained newest-first from lines. A
+// line is entered from only a handful of distinct offsets (its
+// basic-block entry points and post-branch tail starts), so a short
+// chain walk beats a nested map, and a miss allocates only when an
+// arena or the map grows. It is not safe for concurrent use; each
+// simulated core owns its own instance (mirroring how each core owns
+// its SBD).
 type DecodeCache struct {
-	lines        map[uint64]*lineDecodes
-	maxLines     int
-	differential bool
-	stats        DecodeCacheStats
-
-	// order records line addresses in insertion order so capacity
-	// evictions pick the oldest line deterministically. Map iteration
-	// would be cheaper but differs between a core and its clone, and a
-	// diverging victim choice shifts the hit/miss/eviction counters the
-	// checkpointing contract pins. Invalidated lines leave stale
-	// addresses behind; evictOne skips them lazily and compactOrder
-	// bounds the backlog.
-	order []uint64
-
-	// diffScratch is reused by the differential re-decode so the
-	// checking path does not distort the allocation profile it guards.
-	//skia:shared-ok transient scratch: fully overwritten before every use, never read across calls
-	diffScratch []ShadowBranch
-
-	// freeLines and freeBranches recycle dropped lines' storage:
-	// steady-state simulation continuously invalidates (L1-I evictions)
-	// and re-records hot lines, and without reuse that churn allocates
-	// on the critical path the cache exists to speed up.
-	//skia:shared-ok allocation-recycling free list: a clone starting empty allocates on its first invalidations, decode results are identical
-	freeLines []*lineDecodes
-	//skia:shared-ok allocation-recycling free list: a clone starting empty allocates on its first invalidations, decode results are identical
-	freeBranches [][]ShadowBranch
+	lines    map[uint64]int32 // line address → index of its newest entry
+	entries  []cachedDecode
+	branches []ShadowBranch
+	stats    DecodeCacheStats
 }
 
-// DefaultDecodeCacheLines bounds the cache to comfortably cover an
-// L1-I's worth of lines (512 × 64 B = 32 KiB) plus prefetched lines in
-// flight, while keeping worst-case footprint small.
-const DefaultDecodeCacheLines = 1024
-
-// NewDecodeCache builds a cache bounded to maxLines distinct line
-// addresses (0 = DefaultDecodeCacheLines). With differential set, every
-// hit re-runs the fresh decode and records disagreements in
-// Stats().Mismatches instead of trusting the memo.
-func NewDecodeCache(maxLines int, differential bool) *DecodeCache {
-	if maxLines <= 0 {
-		maxLines = DefaultDecodeCacheLines
-	}
-	return &DecodeCache{
-		lines:        make(map[uint64]*lineDecodes, maxLines),
-		maxLines:     maxLines,
-		differential: differential,
-	}
+// NewDecodeCache builds an empty memo.
+func NewDecodeCache() *DecodeCache {
+	return &DecodeCache{lines: make(map[uint64]int32)}
 }
 
-// Clone returns an independent deep copy of the cache: same memoized
-// decodes and statistics. The free pools are not carried over (they are
-// allocation-recycling scratch, not simulator state), so a clone's
-// first few invalidations allocate; steady-state behavior and all
-// decode results are identical.
+// Clone returns an independent deep copy of the memo: same memoized
+// decodes and statistics.
 func (c *DecodeCache) Clone() *DecodeCache {
 	n := &DecodeCache{
-		lines:        make(map[uint64]*lineDecodes, len(c.lines)),
-		maxLines:     c.maxLines,
-		differential: c.differential,
-		stats:        c.stats,
-		order:        append([]uint64(nil), c.order...),
+		lines:    make(map[uint64]int32, len(c.lines)),
+		entries:  append([]cachedDecode(nil), c.entries...),
+		branches: append([]ShadowBranch(nil), c.branches...),
+		stats:    c.stats,
 	}
-	for addr, ld := range c.lines {
-		nl := &lineDecodes{entries: make([]cachedDecode, len(ld.entries))}
-		copy(nl.entries, ld.entries)
-		for i := range nl.entries {
-			if b := nl.entries[i].branches; b != nil {
-				nb := make([]ShadowBranch, len(b))
-				copy(nb, b)
-				nl.entries[i].branches = nb
-			}
-		}
-		n.lines[addr] = nl
+	for addr, i := range c.lines {
+		n.lines[addr] = i
 	}
 	return n
 }
 
-// Stats returns accumulated cache counters.
+// Stats returns accumulated lookup counters.
 func (c *DecodeCache) Stats() DecodeCacheStats { return c.stats }
 
-// lookup finds the memoized decode for (lineAddr, off, kind).
+// Len returns the number of memoized regions.
+func (c *DecodeCache) Len() int { return len(c.entries) }
+
+// lookup finds the memoized decode for (lineAddr, off, kind) and its
+// branches.
 //skia:noalloc
-func (c *DecodeCache) lookup(lineAddr uint64, off int, kind regionKind) (*cachedDecode, bool) {
-	ld := c.lines[lineAddr]
-	if ld != nil {
-		for i := range ld.entries {
-			e := &ld.entries[i]
+func (c *DecodeCache) lookup(lineAddr uint64, off int, kind regionKind) (*cachedDecode, []ShadowBranch, bool) {
+	if i, ok := c.lines[lineAddr]; ok {
+		for ; i >= 0; i = c.entries[i].next {
+			e := &c.entries[i]
 			if e.off == int32(off) && e.kind == kind {
 				c.stats.Hits++
-				return e, true
+				return e, c.branches[e.lo:e.hi], true
 			}
 		}
 	}
 	c.stats.Misses++
-	return nil, false
+	return nil, nil, false
 }
 
 // record memoizes a fresh decode's branches and replay metadata. The
-// branch slice is copied: callers hand in a view of their scratch
-// buffer.
+// branches are copied into the arena: callers hand in a view of their
+// scratch buffer.
 func (c *DecodeCache) record(lineAddr uint64, off int, kind regionKind, branches []ShadowBranch, nFamilies int, noValid, discarded bool) {
-	ld := c.lines[lineAddr]
-	if ld == nil {
-		if len(c.lines) >= c.maxLines {
-			c.evictOne()
-		}
-		if n := len(c.freeLines); n > 0 {
-			ld = c.freeLines[n-1]
-			c.freeLines = c.freeLines[:n-1]
-		} else {
-			ld = &lineDecodes{}
-		}
-		c.lines[lineAddr] = ld
-		c.order = append(c.order, lineAddr)
-		if len(c.order) >= 2*c.maxLines {
-			c.compactOrder()
-		}
+	next, ok := c.lines[lineAddr]
+	if !ok {
+		next = -1
 	}
-	e := cachedDecode{
+	lo := len(c.branches)
+	c.branches = append(c.branches, branches...)
+	c.lines[lineAddr] = int32(len(c.entries))
+	c.entries = append(c.entries, cachedDecode{
+		next:      next,
 		off:       int32(off),
 		kind:      kind,
 		noValid:   noValid,
 		discarded: discarded,
 		nFamilies: int32(nFamilies),
-	}
-	if len(branches) > 0 {
-		var buf []ShadowBranch
-		if n := len(c.freeBranches); n > 0 {
-			buf = c.freeBranches[n-1][:0]
-			c.freeBranches = c.freeBranches[:n-1]
-		}
-		e.branches = append(buf, branches...)
-	}
-	ld.entries = append(ld.entries, e)
+		lo:        int32(lo),
+		hi:        int32(len(c.branches)),
+	})
 	if invariantsEnabled {
-		decodeCacheCheckInvariants(c)
+		decodeCacheCheckInvariants(c, lineAddr)
 	}
-}
-
-// release returns a dropped line's storage to the free lists.
-func (c *DecodeCache) release(ld *lineDecodes) {
-	for i := range ld.entries {
-		if b := ld.entries[i].branches; cap(b) > 0 {
-			c.freeBranches = append(c.freeBranches, b[:0])
-		}
-		ld.entries[i] = cachedDecode{}
-	}
-	ld.entries = ld.entries[:0]
-	c.freeLines = append(c.freeLines, ld)
-}
-
-// evictOne drops the oldest cached line (FIFO by first insertion) to
-// respect the capacity bound. The victim choice must be deterministic:
-// an earlier version ranged over the map, and because iteration order
-// is per-map-instance, a clone and its original under eviction pressure
-// picked different victims and their hit/miss/eviction counters drifted
-// apart — caught by the tiny-dcache clone tests.
-func (c *DecodeCache) evictOne() {
-	for len(c.order) > 0 {
-		addr := c.order[0]
-		c.order = c.order[1:]
-		if ld, ok := c.lines[addr]; ok {
-			delete(c.lines, addr)
-			c.release(ld)
-			c.stats.Evictions++
-			return
-		}
-		// Stale entry: the line was invalidated (or is a duplicate of a
-		// re-recorded address whose first copy was already consumed).
-	}
-}
-
-// compactOrder drops stale order entries — addresses invalidated since
-// insertion, and duplicate entries left by invalidate-then-re-record
-// cycles (only the oldest copy of a live address is kept, preserving
-// FIFO age). Called when the backlog reaches twice the line bound, so
-// the queue stays O(maxLines) and the amortized cost per record is
-// constant.
-func (c *DecodeCache) compactOrder() {
-	kept := c.order[:0]
-	seen := make(map[uint64]bool, len(c.lines))
-	for _, addr := range c.order {
-		if _, live := c.lines[addr]; live && !seen[addr] {
-			seen[addr] = true
-			kept = append(kept, addr)
-		}
-	}
-	c.order = kept
-}
-
-// InvalidateLine drops every memoized decode of one line. The front end
-// wires this to the L1-I's eviction hook: a line leaving the L1-I is no
-// longer hot, so its memo space is better spent elsewhere.
-func (c *DecodeCache) InvalidateLine(lineAddr uint64) {
-	if ld, ok := c.lines[lineAddr]; ok {
-		delete(c.lines, lineAddr)
-		c.release(ld)
-		c.stats.Invalidations++
-	}
-}
-
-// Len returns the number of distinct line addresses currently cached.
-func (c *DecodeCache) Len() int { return len(c.lines) }
-
-// checkHead re-runs a head decode fresh and compares it against the
-// memoized entry, counting any disagreement.
-func (c *DecodeCache) checkHead(d *SBD, e *cachedDecode, line []byte, lineAddr uint64, entryOff int) {
-	c.diffScratch = c.diffScratch[:0]
-	fresh, nFam, noValid, discarded := d.headCore(line, lineAddr, entryOff, c.diffScratch)
-	c.diffScratch = fresh
-	if nFam != int(e.nFamilies) || noValid != e.noValid || discarded != e.discarded ||
-		!sameBranches(fresh, e.branches) {
-		c.stats.Mismatches++
-	}
-}
-
-// checkTail is checkHead for tail decodes.
-func (c *DecodeCache) checkTail(d *SBD, e *cachedDecode, line []byte, lineAddr uint64, startOff int) {
-	c.diffScratch = c.diffScratch[:0]
-	fresh := d.tailCore(line, lineAddr, startOff, c.diffScratch)
-	c.diffScratch = fresh
-	if !sameBranches(fresh, e.branches) {
-		c.stats.Mismatches++
-	}
-}
-
-func sameBranches(a, b []ShadowBranch) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -32,7 +32,7 @@ func TestDecodeCacheMatchesFreshDecodes(t *testing.T) {
 	cfg := DefaultSBDConfig()
 
 	cached := NewSBD(cfg)
-	cached.AttachCache(NewDecodeCache(0, false))
+	cached.AttachCache(NewDecodeCache())
 	fresh := NewSBD(cfg)
 
 	var cachedFam, freshFam []int
@@ -76,64 +76,14 @@ func TestDecodeCacheMatchesFreshDecodes(t *testing.T) {
 	}
 }
 
-// TestDecodeCacheDifferentialMode pins the differential checker at zero
-// mismatches over randomized repeated decodes.
-func TestDecodeCacheDifferentialMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := NewSBD(DefaultSBDConfig())
-	dc := NewDecodeCache(0, true)
-	d.AttachCache(dc)
-
-	for trial := 0; trial < 100; trial++ {
-		line := randLine(rng)
-		lineAddr := uint64(trial) * program.LineSize
-		entryOff := 1 + rng.Intn(program.LineSize)
-		for rep := 0; rep < 2; rep++ {
-			d.DecodeHead(line, lineAddr, entryOff, nil)
-			d.DecodeTail(line, lineAddr, entryOff-1, nil)
+func sameBranches(a, b []ShadowBranch) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
 		}
 	}
-	cs := dc.Stats()
-	if cs.Hits == 0 {
-		t.Fatal("differential mode never hit the cache")
-	}
-	if cs.Mismatches != 0 {
-		t.Fatalf("differential mode found %d mismatches", cs.Mismatches)
-	}
-}
-
-// TestDecodeCacheInvalidateAndBound checks InvalidateLine drops a
-// line's memos and the capacity bound holds under pressure.
-func TestDecodeCacheInvalidateAndBound(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewSBD(DefaultSBDConfig())
-	dc := NewDecodeCache(16, false)
-	d.AttachCache(dc)
-
-	line := randLine(rng)
-	for i := 0; i < 100; i++ {
-		d.DecodeHead(line, uint64(i)*program.LineSize, 8, nil)
-	}
-	if dc.Len() > 16 {
-		t.Fatalf("cache exceeded bound: %d lines > 16", dc.Len())
-	}
-	if dc.Stats().Evictions == 0 {
-		t.Fatal("expected capacity evictions")
-	}
-
-	d.DecodeHead(line, 0, 8, nil) // ensure line 0 is present
-	before := dc.Stats().Hits
-	d.DecodeHead(line, 0, 8, nil)
-	if dc.Stats().Hits != before+1 {
-		t.Fatal("expected a hit before invalidation")
-	}
-	dc.InvalidateLine(0)
-	missBefore := dc.Stats().Misses
-	d.DecodeHead(line, 0, 8, nil)
-	if dc.Stats().Misses != missBefore+1 {
-		t.Fatal("expected a miss after InvalidateLine")
-	}
-	if dc.Stats().Invalidations == 0 {
-		t.Fatal("invalidation not counted")
-	}
+	return true
 }

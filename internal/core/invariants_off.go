@@ -9,5 +9,5 @@ package core
 // `-tags skiainvariants` to compile the checks in.
 const invariantsEnabled = false
 
-func sbbCheckInvariants(*SBB)                 {}
-func decodeCacheCheckInvariants(*DecodeCache) {}
+func sbbCheckInvariants(*SBB)                         {}
+func decodeCacheCheckInvariants(*DecodeCache, uint64) {}

@@ -49,27 +49,31 @@ func sbbCheckInvariants(s *SBB) {
 	}
 }
 
-// decodeCacheCheckInvariants panics if the memo grew past its
-// configured line bound — the unbounded-map leak class the eviction
-// path exists to prevent — or if the FIFO eviction queue lost track of
-// a live line (which would make evictOne silently under-evict) or grew
-// past its compaction bound.
+// decodeCacheCheckInvariants panics if the chain of the line just
+// recorded is malformed: a chain index or branch span outside the
+// arenas, a link that does not point to an older entry (the chain
+// could cycle), or a region memoized twice (record must only follow a
+// lookup miss). Only that line is checked, so armed runs stay cheap.
 //
 //go:noinline
-func decodeCacheCheckInvariants(c *DecodeCache) {
-	if len(c.lines) > c.maxLines {
-		panic(fmt.Sprintf("skiainvariants: decode cache holds %d lines, bound %d", len(c.lines), c.maxLines))
+func decodeCacheCheckInvariants(c *DecodeCache, lineAddr uint64) {
+	type region struct {
+		off  int32
+		kind regionKind
 	}
-	if len(c.order) >= 2*c.maxLines {
-		panic(fmt.Sprintf("skiainvariants: decode cache eviction queue holds %d entries, compaction bound %d", len(c.order), 2*c.maxLines))
-	}
-	queued := make(map[uint64]bool, len(c.order))
-	for _, addr := range c.order {
-		queued[addr] = true
-	}
-	for addr := range c.lines {
-		if !queued[addr] {
-			panic(fmt.Sprintf("skiainvariants: cached line %#x missing from the eviction queue", addr))
+	seen := make(map[region]bool)
+	for i, prev := c.lines[lineAddr], int32(len(c.entries)); i >= 0; prev, i = i, c.entries[i].next {
+		if i >= prev {
+			panic(fmt.Sprintf("skiainvariants: decode cache line %#x chain index %d not older than %d", lineAddr, i, prev))
 		}
+		e := c.entries[i]
+		if e.lo < 0 || e.lo > e.hi || int(e.hi) > len(c.branches) {
+			panic(fmt.Sprintf("skiainvariants: decode cache line %#x entry %d spans branches [%d, %d) outside the %d-branch arena", lineAddr, i, e.lo, e.hi, len(c.branches)))
+		}
+		r := region{e.off, e.kind}
+		if seen[r] {
+			panic(fmt.Sprintf("skiainvariants: decode cache line %#x memoizes region (off %d, kind %d) twice", lineAddr, e.off, e.kind))
+		}
+		seen[r] = true
 	}
 }

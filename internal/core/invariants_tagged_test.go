@@ -30,17 +30,21 @@ func TestInvariantFiresOnCorruptedSBB(t *testing.T) {
 	s.Insert(ShadowBranch{PC: 0x1000, Class: isa.ClassDirectUncond, Target: 0x2000, Len: 2}, false)
 }
 
-// TestInvariantFiresOnOverfullDecodeCache forces the memo past its
-// line bound behind the eviction path's back.
-func TestInvariantFiresOnOverfullDecodeCache(t *testing.T) {
-	c := NewDecodeCache(2, false)
-	c.lines[0x40] = &lineDecodes{}
-	c.lines[0x80] = &lineDecodes{}
-	c.lines[0xC0] = &lineDecodes{} // past the bound, bypassing record's eviction
+// TestInvariantFiresOnDuplicateDecodeRegion records one region twice
+// behind lookup's back, the corruption a record without a preceding
+// miss would cause, and asserts the chain check trips.
+func TestInvariantFiresOnDuplicateDecodeRegion(t *testing.T) {
+	c := NewDecodeCache()
+	c.record(0x40, 8, regionTail, nil, 0, false, false)
+	c.record(0x40, 3, regionHead, nil, 1, false, false)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("overfull decode cache did not trip the invariant")
+		r := recover()
+		if r == nil {
+			t.Fatal("duplicate decode-cache region did not trip the invariant")
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "twice") {
+			t.Fatalf("unexpected panic payload %v", r)
 		}
 	}()
-	decodeCacheCheckInvariants(c)
+	c.record(0x40, 8, regionTail, nil, 0, false, false)
 }

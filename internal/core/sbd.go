@@ -142,9 +142,7 @@ type SBD struct {
 
 	// cache, when non-nil, memoizes head/tail decode results per
 	// (lineAddr, offset); see decodecache.go. The program image is
-	// immutable after linking, so cached entries can only go stale
-	// through capacity pressure, never through content change —
-	// invalidation exists to bound memory, not for correctness.
+	// immutable after linking, so an entry never goes stale.
 	//skia:shared-ok Clone's contract: the owner clones the cache separately and re-attaches it (frontend.Clone does both)
 	cache *DecodeCache
 
@@ -169,9 +167,9 @@ func (d *SBD) Clone() *SBD {
 }
 
 // AttachCache installs (or, with nil, removes) a decode cache. The
-// cache memoizes DecodeHead/DecodeTail results so hot L1-I lines
-// re-entering the FTQ skip re-length-decoding; replayed statistics are
-// identical to what the fresh decode would have recorded.
+// cache memoizes DecodeHead/DecodeTail results so lines re-entering
+// the FTQ skip re-length-decoding; replayed statistics are identical
+// to what the fresh decode would have recorded.
 func (d *SBD) AttachCache(c *DecodeCache) { d.cache = c }
 
 // NewSBD builds a decoder from cfg.
@@ -202,10 +200,7 @@ func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []Shado
 		return dst
 	}
 	if d.cache != nil {
-		if e, ok := d.cache.lookup(lineAddr, entryOff, regionHead); ok {
-			if d.cache.differential {
-				d.cache.checkHead(d, e, line, lineAddr, entryOff)
-			}
+		if e, branches, ok := d.cache.lookup(lineAddr, entryOff, regionHead); ok {
 			d.stats.HeadRegions++
 			if e.noValid {
 				d.stats.HeadNoValidPath++
@@ -213,11 +208,11 @@ func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []Shado
 			if e.discarded {
 				d.stats.HeadDiscarded++
 			}
-			d.stats.HeadBranches += uint64(len(e.branches))
+			d.stats.HeadBranches += uint64(len(branches))
 			if d.OnHeadPaths != nil {
 				d.OnHeadPaths(int(e.nFamilies))
 			}
-			return append(dst, e.branches...)
+			return append(dst, branches...)
 		}
 	}
 	n0 := len(dst)
@@ -348,29 +343,13 @@ func (d *SBD) DecodeTail(line []byte, lineAddr uint64, startOff int, dst []Shado
 		return dst
 	}
 	if d.cache != nil {
-		if e, ok := d.cache.lookup(lineAddr, startOff, regionTail); ok {
-			if d.cache.differential {
-				d.cache.checkTail(d, e, line, lineAddr, startOff)
-			}
+		if _, branches, ok := d.cache.lookup(lineAddr, startOff, regionTail); ok {
 			d.stats.TailRegions++
-			d.stats.TailBranches += uint64(len(e.branches))
-			return append(dst, e.branches...)
+			d.stats.TailBranches += uint64(len(branches))
+			return append(dst, branches...)
 		}
 	}
 	n0 := len(dst)
-	dst = d.tailCore(line, lineAddr, startOff, dst)
-	d.stats.TailRegions++
-	d.stats.TailBranches += uint64(len(dst) - n0)
-	if d.cache != nil {
-		d.cache.record(lineAddr, startOff, regionTail, dst[n0:], 0, false, false)
-	}
-	return dst
-}
-
-// tailCore is DecodeTail's side-effect-free body: a single forward walk
-// appending extracted branches to dst, with no statistics updates.
-//skia:noalloc
-func (d *SBD) tailCore(line []byte, lineAddr uint64, startOff int, dst []ShadowBranch) []ShadowBranch {
 	for p := startOff; p < len(line); {
 		l := isa.LengthAt(line, p)
 		if l == 0 || p+l > len(line) {
@@ -378,6 +357,11 @@ func (d *SBD) tailCore(line []byte, lineAddr uint64, startOff int, dst []ShadowB
 		}
 		dst = d.extract(line, lineAddr, p, dst)
 		p += l
+	}
+	d.stats.TailRegions++
+	d.stats.TailBranches += uint64(len(dst) - n0)
+	if d.cache != nil {
+		d.cache.record(lineAddr, startOff, regionTail, dst[n0:], 0, false, false)
 	}
 	return dst
 }

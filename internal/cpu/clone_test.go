@@ -10,7 +10,7 @@ import (
 
 // cloneConfigs enumerates the structurally distinct front-end shapes a
 // checkpoint must capture: baseline (no SBB/SBD), full Skia (SBB + SBD
-// + decode cache + L1-I eviction hook), Skia without the decode cache,
+// + decode cache), Skia without the decode cache,
 // the SBD-into-BTB ablation (no SBB), and a BTB large enough to
 // trigger the access-latency config adjustment New applies.
 func cloneConfigs() map[string]Config {
@@ -21,18 +21,12 @@ func cloneConfigs() map[string]Config {
 	toBTB.Frontend.SBDToBTB = true
 	bigBTB := SkiaConfig()
 	bigBTB.Frontend.BTB.Entries = 65536
-	tinyDC := SkiaConfig()
-	tinyDC.Frontend.DecodeCacheLines = 4
 	return map[string]Config{
 		"baseline":     DefaultConfig(),
 		"skia":         skia,
 		"skia-nocache": noCache,
 		"sbd-to-btb":   toBTB,
 		"big-btb":      bigBTB,
-		// A 4-line decode cache keeps the capacity bound under constant
-		// pressure, so clones are taken with populated free lists and
-		// every interval crosses eviction/recycling churn.
-		"tiny-dcache": tinyDC,
 	}
 }
 
@@ -143,11 +137,7 @@ func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 	w := cloneWorkload(t, "voter")
 	const horizon = 400_000
 
-	// The tiny-dcache shape is the regression case for the decode-cache
-	// free list: with a 4-line bound every snapshot lands between
-	// evictions, so the clone starts with recycled storage in flight
-	// mid-interval and must still replay the reference bit-for-bit.
-	for _, cfgName := range []string{"skia", "tiny-dcache"} {
+	for _, cfgName := range []string{"skia"} {
 		cfg := cloneConfigs()[cfgName]
 		t.Run(cfgName, func(t *testing.T) {
 			ref, err := New(cfg, w)
@@ -179,13 +169,6 @@ func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 				if dc := cl.Frontend().DecodeCache(); dc != nil && dc.Stats() != ref.Frontend().DecodeCache().Stats() {
 					t.Errorf("clone at %d instructions: decode cache counters diverged: %+v vs %+v",
 						pos, dc.Stats(), ref.Frontend().DecodeCache().Stats())
-				}
-			}
-			if cfgName == "tiny-dcache" {
-				// The case is only a regression test if eviction pressure
-				// actually materialized.
-				if ev := ref.Frontend().DecodeCache().Stats().Evictions; ev == 0 {
-					t.Fatal("tiny-dcache run saw no evictions; the free-list case is not being exercised")
 				}
 			}
 		})

@@ -203,9 +203,6 @@ func (c *Core) SetTracer(t metrics.Tracer) { c.fe.SetTracer(t) }
 // so the taxonomy covers the measurement window only.
 func (c *Core) AttachAttribution(e *attrib.Engine) { c.fe.SetAttribution(e) }
 
-// Attribution returns the attached engine (nil when disabled).
-func (c *Core) Attribution() *attrib.Engine { return c.fe.Attribution() }
-
 // Sample snapshots the cumulative counters the interval collector
 // differences: cycles, instructions, and the front-end and cache
 // events the timeseries rows derive their rates from.

@@ -2,7 +2,6 @@ package frontend
 
 import (
 	"repro/internal/btb"
-	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/program"
 )
@@ -36,9 +35,9 @@ func cloneBlock(b Block) Block {
 //
 // Observability attachments do not carry over: the clone starts with no
 // tracer and no attribution engine (callers attach their own), and
-// every component hook that is a closure over the owner — the L1-I
-// eviction hook into the decode cache, the SBB OnRemove pruner, the
-// SBD/SBB observer hooks — is re-wired to the clone rather than copied.
+// every component hook that is a closure over the owner — the SBB
+// OnRemove pruner, the SBD/SBB observer hooks — is re-wired to the
+// clone rather than copied.
 func (f *FrontEnd) Clone() *FrontEnd {
 	n := &FrontEnd{
 		cfg: f.cfg,
@@ -86,7 +85,6 @@ func (f *FrontEnd) Clone() *FrontEnd {
 	if f.dcache != nil {
 		n.dcache = f.dcache.Clone()
 		n.sbd.AttachCache(n.dcache)
-		n.l1i.OnEvict = n.dcache.InvalidateLine
 	}
 	if f.sbb != nil {
 		n.sbb = f.sbb.Clone()
@@ -286,46 +284,30 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	return skipped
 }
 
-// warmDecodeKey identifies one shadow-decode region for the warm-skip
-// memo: the line, the region boundary offset within it, and whether it
-// is the head or the tail side of that boundary.
-type warmDecodeKey struct {
-	lineAddr uint64
-	off      int8
-	head     bool
-}
-
 // warmShadowDecode runs one head or tail shadow decode during
 // functional warming, mirroring runSBDTasks: the line is brought (or
 // kept) resident, decoded, and the results inserted into the SBB (or
 // the BTB under the SBDToBTB ablation) with probe-candidate
 // registration. Timing-only concerns — the SBD latency and the
-// evicted-before-decode race — are not modeled. Decode results are
-// memoized for the front-end's lifetime (they are pure functions of
-// the immutable program bytes), which keeps the warm skip's cost
-// proportional to the distinct regions touched, not to the dynamic
-// taken-branch count.
+// evicted-before-decode race — are not modeled. Decodes share the
+// detail path's memo, so the warm skip's decode cost is proportional
+// to the distinct regions touched, not to the dynamic taken-branch
+// count.
 func (f *FrontEnd) warmShadowDecode(lineAddr uint64, off int, head bool) {
 	if !f.l1i.Prefetch(lineAddr) {
 		f.l2.Prefetch(lineAddr)
 	}
-	if f.warmMemo == nil {
-		f.warmMemo = make(map[warmDecodeKey][]core.ShadowBranch)
+	line := f.w.Prog.Line(lineAddr)
+	if line == nil {
+		return
 	}
-	key := warmDecodeKey{lineAddr: lineAddr, off: int8(off), head: head}
-	sbs, ok := f.warmMemo[key]
-	if !ok {
-		line := f.w.Prog.Line(lineAddr)
-		if line != nil {
-			if head {
-				sbs = f.sbd.DecodeHead(line, lineAddr, off, nil)
-			} else {
-				sbs = f.sbd.DecodeTail(line, lineAddr, off, nil)
-			}
-		}
-		f.warmMemo[key] = sbs
+	f.scratch = f.scratch[:0]
+	if head {
+		f.scratch = f.sbd.DecodeHead(line, lineAddr, off, f.scratch)
+	} else {
+		f.scratch = f.sbd.DecodeTail(line, lineAddr, off, f.scratch)
 	}
-	for _, sb := range sbs {
+	for _, sb := range f.scratch {
 		if f.cfg.SBDToBTB {
 			f.btb.Insert(sb.PC, btb.Entry{
 				Target:      sb.Target,

@@ -81,15 +81,6 @@ type Config struct {
 	// so the zero value keeps it on; the flag exists for differential
 	// testing and perf comparison.
 	NoDecodeCache bool
-	// DecodeCacheDiff runs the decode cache in differential mode: every
-	// hit re-decodes fresh and counts disagreements (test-only; slower
-	// than no cache at all).
-	DecodeCacheDiff bool
-	// DecodeCacheLines bounds the decode cache to this many distinct
-	// line addresses (0 = core.DefaultDecodeCacheLines). Small bounds
-	// force steady-state evictions and free-list churn, which the clone
-	// coverage tests use to exercise the cache's recycling paths.
-	DecodeCacheLines int
 }
 
 // DefaultConfig returns the paper's baseline (Table 1) without Skia.

@@ -154,17 +154,9 @@ type FrontEnd struct {
 	// condPool recycles Conds backing arrays across dead blocks.
 	//skia:shared-ok allocation-recycling pool: a clone starting empty re-allocates on first use, results are unaffected
 	condPool [][]CondRec
-	// dcache memoizes shadow decodes (nil when disabled); invalidated by
-	// the L1-I eviction hook.
+	// dcache memoizes shadow decodes for detail and warm simulation
+	// alike (nil when disabled).
 	dcache *core.DecodeCache
-	// warmMemo memoizes shadow-decode results during warm fast-forward,
-	// keyed by region. Unlike dcache it is never invalidated: decode
-	// results are pure functions of the immutable program bytes, and
-	// hit vs. miss is result-identical (only SBD/dcache statistics
-	// differ, which warm skipping perturbs freely anyway). Lazily
-	// built; not carried across Clone.
-	//skia:shared-ok pure-function memo over immutable program bytes: a clone rebuilding it lazily is result-identical
-	warmMemo map[warmDecodeKey][]core.ShadowBranch
 
 	// tr, when non-nil, observes re-steers, misses, and shadow-decode
 	// events; every emission site nil-checks it so a disabled trace
@@ -216,9 +208,8 @@ func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 	if cfg.Skia {
 		f.sbd = core.NewSBD(cfg.SBD)
 		if !cfg.NoDecodeCache {
-			f.dcache = core.NewDecodeCache(cfg.DecodeCacheLines, cfg.DecodeCacheDiff)
+			f.dcache = core.NewDecodeCache()
 			f.sbd.AttachCache(f.dcache)
-			f.l1i.OnEvict = f.dcache.InvalidateLine
 		}
 		if !cfg.SBDToBTB {
 			sbb, err := core.NewSBB(cfg.SBB)
@@ -286,9 +277,6 @@ func (f *FrontEnd) SetAttribution(e *attrib.Engine) {
 	f.at = e
 	f.wireHooks()
 }
-
-// Attribution returns the attached engine (nil when disabled).
-func (f *FrontEnd) Attribution() *attrib.Engine { return f.at }
 
 // wireHooks (re)wires component callbacks to whichever of the tracer
 // and the attribution engine are attached. Both observers share the

@@ -19,7 +19,7 @@ import (
 //     (`&T{f: ...}`),
 //   - as an assignment target on a non-receiver variable of the
 //     receiver type (`n.f = ...`, including nested fix-ups like
-//     `n.l1i.OnEvict = ...`, which mention l1i), or
+//     `n.sbb.OnRemove = ...`, which mention sbb), or
 //   - implicitly, when the method value-copies the whole receiver
 //     (`c := *t` / a bare value-receiver copy), which mentions every
 //     field at once.

@@ -25,8 +25,8 @@ import (
 //
 // Anything else needs a `//skia:detmap-ok <justification>` directive
 // on the line above the range statement — reserved for iteration whose
-// order provably cannot reach simulation output (e.g. the decode
-// cache's arbitrary-victim eviction, which affects throughput only).
+// order provably cannot reach simulation output (e.g. a commutative
+// += accumulation whose keys are sorted before any ordered output).
 var DetMapAnalyzer = &Analyzer{
 	Name:      "detmap",
 	Doc:       "flags map-order-dependent iteration that can leak nondeterminism into simulation output",
