@@ -86,18 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		attribOn = fs.Bool("attrib", false,
 			"classify BTB misses and stall cycles by cause on every run; summaries land in the report envelope's `attribution` section")
 
-		sample = fs.Bool("sample", false,
-			"sampled simulation: splice K detail intervals over the measurement window instead of simulating it exactly; every headline metric gains a 95% CI in the envelope's `sampling` section")
-		sampleIntervals = fs.Int("sample-intervals", 0,
-			"detail intervals per sampled run (0 = default 10; implies -sample)")
-		sampleInterval = fs.Uint64("sample-interval", 0,
-			"measured instructions per detail interval (0 = measure/K/10; implies -sample)")
-		sampleWarmup = fs.Uint64("sample-warmup", 0,
-			"detail micro-warmup instructions before each interval (0 = interval/2; implies -sample)")
-		sampleWarmWindow = fs.Uint64("sample-warm-window", 0,
-			"bound functional warming to the final N instructions of each interval's skip; the rest skips cold (0 = warm the whole distance; implies -sample)")
-		sampleShards = fs.Int("sample-shards", 0,
-			"fan sampled intervals out over this many cores per run; results are identical to serial (0 = 1; implies -sample)")
+		samplePlan = sim.SampleFlags(fs)
 		checkpoint = fs.Bool("checkpoint", false,
 			"share detail warmup between runs with the same (benchmark, warmup, config) via core checkpoints; bit-identical results, less wall-clock")
 		sampleEcho = fs.Bool("sample-echo", false,
@@ -134,17 +123,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	opts := experiments.Options{Warmup: *warmup, Measure: *measure, Workers: *workers, Interval: *intervals, Attrib: *attribOn,
-		Checkpoint: *checkpoint, SampleEcho: *sampleEcho}
-	if *sample || *sampleIntervals != 0 || *sampleInterval != 0 || *sampleWarmup != 0 ||
-		*sampleWarmWindow != 0 || *sampleShards != 0 {
-		opts.Sample = &sim.SamplePlan{
-			Intervals:     *sampleIntervals,
-			IntervalInsts: *sampleInterval,
-			MicroWarmup:   *sampleWarmup,
-			WarmWindow:    *sampleWarmWindow,
-			Shards:        *sampleShards,
-		}
-	}
+		Sample: samplePlan(), Checkpoint: *checkpoint, SampleEcho: *sampleEcho}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}

@@ -56,20 +56,8 @@ func main() {
 			"classify every BTB miss and front-end stall cycle by cause (implied by -attrib-out)")
 		attribOut = flag.String("attrib-out", "",
 			"write the attribution summary as NDJSON to this file")
-
-		sample = flag.Bool("sample", false,
-			"sampled simulation: splice K detail intervals over the measurement window; metrics print with 95% confidence intervals")
-		sampleIntervals = flag.Int("sample-intervals", 0,
-			"detail intervals (0 = default 10; implies -sample)")
-		sampleInterval = flag.Uint64("sample-interval", 0,
-			"measured instructions per interval (0 = measure/K/10; implies -sample)")
-		sampleWarmup = flag.Uint64("sample-warmup", 0,
-			"detail micro-warmup before each interval (0 = interval/2; implies -sample)")
-		sampleWarmWindow = flag.Uint64("sample-warm-window", 0,
-			"bound functional warming to the final N instructions of each skip; the rest skips cold (0 = warm everything; implies -sample)")
-		sampleShards = flag.Int("sample-shards", 0,
-			"cores to fan intervals out over; identical results to serial (0 = 1; implies -sample)")
 	)
+	samplePlan := sim.SampleFlags(flag.CommandLine)
 	var prof metrics.Profiler
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -110,21 +98,12 @@ func main() {
 	}
 
 	r := sim.NewRunner()
+	r.Interval = *intervals
+	r.Attrib = *attribOn
+	r.Sample = samplePlan()
 	spec := sim.RunSpec{
 		Benchmark: *bench, Config: cfg,
 		Warmup: *warmup, Measure: *measure, Label: "run",
-		Interval: *intervals,
-		Attrib:   *attribOn,
-	}
-	if *sample || *sampleIntervals != 0 || *sampleInterval != 0 || *sampleWarmup != 0 ||
-		*sampleWarmWindow != 0 || *sampleShards != 0 {
-		spec.Sample = &sim.SamplePlan{
-			Intervals:     *sampleIntervals,
-			IntervalInsts: *sampleInterval,
-			MicroWarmup:   *sampleWarmup,
-			WarmWindow:    *sampleWarmWindow,
-			Shards:        *sampleShards,
-		}
 	}
 	if tracer != nil {
 		spec.Tracer = tracer

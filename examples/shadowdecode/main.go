@@ -96,9 +96,11 @@ func main() {
 
 	// --- Attribution: the Figure 1/2 observation, measured --------------
 	fmt.Println("\n== Miss attribution (paper Figures 1-2) ==")
-	res, err := sim.NewRunner().Run(sim.RunSpec{
+	r := sim.NewRunner()
+	r.Attrib = true
+	res, err := r.Run(sim.RunSpec{
 		Benchmark: "voter", Config: cpu.SkiaConfig(),
-		Warmup: 100_000, Measure: 300_000, Label: "skia", Attrib: true,
+		Warmup: 100_000, Measure: 300_000, Label: "skia",
 	})
 	if err != nil {
 		panic(err)

@@ -14,8 +14,8 @@ import (
 func TestClassifyPrecedence(t *testing.T) {
 	e := NewEngine()
 	line := uint64(0x1000)
-	e.NoteHead(line, 16)      // bytes [0,16) are head shadow
-	e.NoteTail(line, 40)      // bytes [40,64) are tail shadow
+	e.NoteHead(line, 16)       // bytes [0,16) are head shadow
+	e.NoteTail(line, 40)       // bytes [40,64) are tail shadow
 	e.NoteSBBInsert(line + 8)  // pc 0x1008 was once in the SBB
 	e.NoteSBBInsert(line + 24) // outside both shadow masks
 
@@ -78,10 +78,10 @@ func TestHeadTailOverlapPrefersHead(t *testing.T) {
 func TestNoteRegionBounds(t *testing.T) {
 	e := NewEngine()
 	line := uint64(0x3000)
-	e.NoteHead(line, 0)                    // empty head: no-op
-	e.NoteHead(line, program.LineSize+5)   // clamped to whole line
-	e.NoteTail(line, program.LineSize)     // out of range: no-op
-	e.NoteTail(line, -1)                   // out of range: no-op
+	e.NoteHead(line, 0)                  // empty head: no-op
+	e.NoteHead(line, program.LineSize+5) // clamped to whole line
+	e.NoteTail(line, program.LineSize)   // out of range: no-op
+	e.NoteTail(line, -1)                 // out of range: no-op
 	ls, ok := e.shadow[line]
 	if !ok || ls.head != ^uint64(0) {
 		t.Fatalf("clamped head mask = %#x, want all ones", ls.head)

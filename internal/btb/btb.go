@@ -287,6 +287,7 @@ func popcount(x uint64) int {
 }
 
 // Lookup probes the BTB at pc, updating LRU on hit.
+//
 //skia:noalloc
 func (b *BTB) Lookup(pc uint64) (Entry, bool) {
 	b.stats.Lookups++
@@ -315,6 +316,7 @@ func (b *BTB) Lookup(pc uint64) (Entry, bool) {
 
 // Probe checks presence without LRU update or stats, for measurement
 // harnesses.
+//
 //skia:noalloc
 func (b *BTB) Probe(pc uint64) (Entry, bool) {
 	if b.inf != nil {
@@ -331,6 +333,7 @@ func (b *BTB) Probe(pc uint64) (Entry, bool) {
 }
 
 // Insert installs or refreshes the entry for the branch at pc.
+//
 //skia:noalloc
 func (b *BTB) Insert(pc uint64, e Entry) {
 	b.stats.Inserts++

@@ -91,6 +91,7 @@ func (c *DecodeCache) Len() int { return len(c.entries) }
 
 // lookup finds the memoized decode for (lineAddr, off, kind) and its
 // branches.
+//
 //skia:noalloc
 func (c *DecodeCache) lookup(lineAddr uint64, off int, kind regionKind) (*cachedDecode, []ShadowBranch, bool) {
 	if i, ok := c.lines[lineAddr]; ok {

@@ -234,6 +234,7 @@ func (s *SBB) rIndex(lineAddr uint64) (int, uint64) {
 
 // LookupU probes the U-SBB for a direct unconditional branch or call at
 // pc, refreshing LRU on hit.
+//
 //skia:noalloc
 func (s *SBB) LookupU(pc uint64) (UEntry, bool) {
 	if len(s.uSets) == 0 {
@@ -254,6 +255,7 @@ func (s *SBB) LookupU(pc uint64) (UEntry, bool) {
 }
 
 // LookupR probes the R-SBB: does a return instruction start at pc?
+//
 //skia:noalloc
 func (s *SBB) LookupR(pc uint64) bool {
 	if len(s.rSets) == 0 {
@@ -319,6 +321,7 @@ func victimR(ways []rWay, retiredFirst bool) int {
 // Insert installs a shadow branch produced by the SBD. btbResident
 // reports whether the branch currently hits in the BTB (used only by
 // the FilterBTBResident ablation).
+//
 //skia:noalloc
 func (s *SBB) Insert(sb ShadowBranch, btbResident bool) {
 	if s.cfg.FilterBTBResident && btbResident {

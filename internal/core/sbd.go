@@ -194,6 +194,7 @@ func (d *SBD) ResetStats() { d.stats = SBDStats{} }
 // the line (the branch target that brought the line into the FTQ). It
 // appends extracted branches to dst and returns the result. A nil
 // return with no error means the region was discarded or empty.
+//
 //skia:noalloc
 func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) []ShadowBranch {
 	if !d.cfg.Head || entryOff <= 0 || entryOff > len(line) {
@@ -239,6 +240,7 @@ func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []Shado
 // outcome flags, without touching d.stats or the OnHeadPaths hook. The
 // split exists so the decode cache can replay exactly the statistics a
 // fresh decode would have produced.
+//
 //skia:noalloc
 func (d *SBD) headCore(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) (out []ShadowBranch, nFam int, noValid, discarded bool) {
 	// Phase 1 — Index Computation: the length of the instruction
@@ -337,6 +339,7 @@ func (d *SBD) headCore(line []byte, lineAddr uint64, entryOff int, dst []ShadowB
 // unambiguous (the exiting branch's end is known), so decoding is a
 // single forward walk (Section 3.3). Decoding stops at an undecodable
 // byte or an instruction crossing the line end.
+//
 //skia:noalloc
 func (d *SBD) DecodeTail(line []byte, lineAddr uint64, startOff int, dst []ShadowBranch) []ShadowBranch {
 	if !d.cfg.Tail || startOff < 0 || startOff >= len(line) {
@@ -368,6 +371,7 @@ func (d *SBD) DecodeTail(line []byte, lineAddr uint64, startOff int, dst []Shado
 
 // extract decodes the instruction at line[off] and appends it to dst if
 // it is a shadow-eligible branch fully contained in the line.
+//
 //skia:noalloc
 func (d *SBD) extract(line []byte, lineAddr uint64, off int, dst []ShadowBranch) []ShadowBranch {
 	in, ok := isa.TryDecode(line[off:], lineAddr+uint64(off))

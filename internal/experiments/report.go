@@ -95,20 +95,28 @@ type RunMeta struct {
 	Sim *sim.RunnerStats `json:"sim,omitempty"`
 }
 
-// stamp fills the report's run-metadata envelope from the options, the
-// benchmark list actually simulated, and the runner that executed the
-// specs (nil for static tables). It returns the report for use in
-// return statements.
-func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
-	warm, meas := o.Warmup, o.Measure
-	if warm == 0 {
-		warm = sim.DefaultWarmup
+// BenchmarkRefs pairs each named workload with its registry seed, in
+// order (a name the registry does not know gets seed 0).
+func BenchmarkRefs(names []string) []BenchmarkRef {
+	var refs []BenchmarkRef
+	for _, n := range names {
+		ref := BenchmarkRef{Name: n}
+		if p, err := workload.ByName(n); err == nil {
+			ref.Seed = p.Seed
+		}
+		refs = append(refs, ref)
 	}
-	if meas == 0 {
-		meas = sim.DefaultMeasure
-	}
+	return refs
+}
+
+// Meta resolves the options into the run metadata a report over
+// benches records: the effective windows, the interval window, the
+// normalized sample plan (zero when exact) and the benchmark refs with
+// their seeds.
+func (o Options) Meta(benches []string) RunMeta {
+	warm, meas := sim.Windows(o.Warmup, o.Measure)
 	m := RunMeta{WarmupInstructions: warm, MeasureInstructions: meas,
-		IntervalInstructions: o.Interval}
+		IntervalInstructions: o.Interval, Benchmarks: BenchmarkRefs(benches)}
 	if o.Sample != nil {
 		p := o.Sample.Normalized(meas)
 		m.SampleIntervals = p.Intervals
@@ -117,13 +125,15 @@ func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
 		m.SampleWarmWindowInstructions = p.WarmWindow
 		m.SampleShards = p.Shards
 	}
-	for _, b := range benches {
-		ref := BenchmarkRef{Name: b}
-		if p, err := workload.ByName(b); err == nil {
-			ref.Seed = p.Seed
-		}
-		m.Benchmarks = append(m.Benchmarks, ref)
-	}
+	return m
+}
+
+// stamp fills the report's run-metadata envelope from the options, the
+// benchmark list actually simulated, and the runner that executed the
+// specs (nil for static tables). It returns the report for use in
+// return statements.
+func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
+	m := o.Meta(benches)
 	if r != nil {
 		st := r.Stats()
 		m.Sim = &st

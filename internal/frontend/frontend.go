@@ -411,6 +411,7 @@ func (f *FrontEnd) flushFTQ() {
 
 // pruneShadowOff clears pc's probe-candidate bit once its SBB entry is
 // gone (wired to the SBB's OnRemove hook).
+//
 //skia:noalloc
 func (f *FrontEnd) pruneShadowOff(pc uint64) {
 	la := program.LineAddr(pc)
@@ -429,6 +430,7 @@ func (f *FrontEnd) pruneShadowOff(pc uint64) {
 // Step advances the front-end by one cycle and returns the number of
 // true-path instructions decoded (delivered to the backend) this cycle.
 // maxDecode lets the caller apply backpressure (ROB full).
+//
 //skia:noalloc
 func (f *FrontEnd) Step(maxDecode int) int {
 	f.cycle++
@@ -529,6 +531,7 @@ func (f *FrontEnd) applyRedirect() {
 // a bitmask (bit i = byte offset i): the static branch starts plus any
 // PCs the SBD has (possibly bogusly) inserted. One OR replaces the
 // sorted-slice merge the scan used to allocate for.
+//
 //skia:noalloc
 func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 	m := f.w.BranchMask(lineAddr)
@@ -541,6 +544,7 @@ func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 // formBlock builds the next predicted basic block from specPC,
 // consulting BTB, SBB, TAGE, ITTAGE and RAS, issues its prefetches, and
 // schedules shadow decodes.
+//
 //skia:noalloc
 func (f *FrontEnd) formBlock() Block {
 	blk := Block{
@@ -712,6 +716,7 @@ scan:
 
 // terminateViaBTB handles a BTB hit during the scan. It returns true
 // when the block terminates at pc.
+//
 //skia:noalloc
 func (f *FrontEnd) terminateViaBTB(blk *Block, pc uint64, e btb.Entry) bool {
 	switch e.Class {
@@ -756,6 +761,7 @@ func (f *FrontEnd) terminateViaBTB(blk *Block, pc uint64, e btb.Entry) bool {
 
 // runSBDTasks executes shadow decodes whose latency has elapsed and
 // whose line is still L1-I resident, inserting results into the SBB.
+//
 //skia:noalloc
 func (f *FrontEnd) runSBDTasks() {
 	kept := f.sbdTasks[:0]
@@ -808,6 +814,7 @@ func (f *FrontEnd) runSBDTasks() {
 
 // noteSBBInsert tracks bogus inserts (oracle check) and registers the
 // PC as a probe candidate so the IAG scan can see it.
+//
 //skia:noalloc
 func (f *FrontEnd) noteSBBInsert(sb core.ShadowBranch) {
 	in, ok := f.w.InstAt(sb.PC)
@@ -838,6 +845,7 @@ func lineResidency(blk *Block, pc uint64) bool {
 // covered reports whether the SBB supplied the branch in time (the
 // block steered through it with matching class, so no re-steer was
 // paid); it feeds the attribution taxonomy.
+//
 //skia:noalloc
 func (f *FrontEnd) countBTBMiss(blk *Block, in isa.Inst, covered bool) {
 	switch in.Class {
@@ -871,6 +879,7 @@ func (f *FrontEnd) insertBTB(in isa.Inst, target uint64) {
 // decode verifies up to max instructions of the predicted stream
 // against the true stream and returns how many true-path instructions
 // were delivered.
+//
 //skia:noalloc
 func (f *FrontEnd) decode(max int) int {
 	if max > f.cfg.DecodeWidth {

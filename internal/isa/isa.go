@@ -267,6 +267,7 @@ func Decode(code []byte, pc uint64) (Inst, error) {
 // Decoder's path validation prunes candidate paths by failing decodes
 // millions of times per simulated window — use this entry point so the
 // common case never allocates.
+//
 //skia:noalloc
 func TryDecode(code []byte, pc uint64) (Inst, bool) {
 	in, _, reason := decode(code, pc)
@@ -535,6 +536,7 @@ func decode(code []byte, pc uint64) (Inst, byte, string) {
 // Decoder's Index Computation phase (paper Section 3.2.1). It returns the
 // length in bytes of the instruction starting at code[off], or 0 if no
 // valid instruction starts there. It never allocates.
+//
 //skia:noalloc
 func LengthAt(code []byte, off int) int {
 	if off < 0 || off >= len(code) {

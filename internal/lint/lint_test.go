@@ -9,8 +9,8 @@ import (
 )
 
 // wantRe matches the fixture expectation syntax, analysistest-style:
-// a `// want `+"`regex`"+`` comment on the line a diagnostic lands on.
-// The block form `/* want `+"`regex`"+` */` exists for lines where a
+// a "// want `regex`" comment on the line a diagnostic lands on.
+// The block form "/* want `regex` */" exists for lines where a
 // //skia: line directive already owns the rest of the line (the
 // directive analyzer's own fixtures).
 var wantRe = regexp.MustCompile("(?://|/\\*) want `([^`]+)`")

@@ -102,14 +102,22 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
+// plan is the spec's sample plan: Sample or any meta sample_* field
+// selects sampling (sim.PlanIf); nil means exact simulation.
+func (s JobSpec) plan() *sim.SamplePlan {
+	return sim.PlanIf(s.Sample, sim.SamplePlan{
+		Intervals:     s.Meta.SampleIntervals,
+		IntervalInsts: s.Meta.SampleIntervalInstructions,
+		MicroWarmup:   s.Meta.SampleMicroWarmupInstructions,
+		WarmWindow:    s.Meta.SampleWarmWindowInstructions,
+		Shards:        s.Meta.SampleShards,
+	})
+}
+
 // sampling reports whether the spec asks for any schema-v5 sampling
-// feature: the explicit toggles or an implicit plan via the meta
-// sample_* fields.
+// feature: a sample plan or the checkpoint / sample_echo toggles.
 func (s JobSpec) sampling() bool {
-	return s.Sample || s.Checkpoint || s.SampleEcho ||
-		s.Meta.SampleIntervals != 0 || s.Meta.SampleIntervalInstructions != 0 ||
-		s.Meta.SampleMicroWarmupInstructions != 0 ||
-		s.Meta.SampleWarmWindowInstructions != 0 || s.Meta.SampleShards != 0
+	return s.plan() != nil || s.Checkpoint || s.SampleEcho
 }
 
 // options translates the spec into harness options. Per-job simulation
@@ -122,19 +130,9 @@ func (s JobSpec) options(jobWorkers int) experiments.Options {
 		Workers:    jobWorkers,
 		Interval:   s.Interval,
 		Attrib:     s.Attrib,
+		Sample:     s.plan(),
 		Checkpoint: s.Checkpoint,
 		SampleEcho: s.SampleEcho,
-	}
-	if s.Sample || s.Meta.SampleIntervals != 0 || s.Meta.SampleIntervalInstructions != 0 ||
-		s.Meta.SampleMicroWarmupInstructions != 0 ||
-		s.Meta.SampleWarmWindowInstructions != 0 || s.Meta.SampleShards != 0 {
-		o.Sample = &sim.SamplePlan{
-			Intervals:     s.Meta.SampleIntervals,
-			IntervalInsts: s.Meta.SampleIntervalInstructions,
-			MicroWarmup:   s.Meta.SampleMicroWarmupInstructions,
-			WarmWindow:    s.Meta.SampleWarmWindowInstructions,
-			Shards:        s.Meta.SampleShards,
-		}
 	}
 	for _, b := range s.Meta.Benchmarks {
 		o.Benchmarks = append(o.Benchmarks, b.Name)

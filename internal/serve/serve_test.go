@@ -128,12 +128,12 @@ func TestIntervalSummariesStream(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	s, c := newTestServer(t, serve.Config{})
 	cases := []serve.JobSpec{
-		{},                                  // no experiment
-		{Experiment: "not-an-experiment"},   // unknown id
+		{},                                // no experiment
+		{Experiment: "not-an-experiment"}, // unknown id
 		{Experiment: "fig14", Meta: experiments.RunMeta{Benchmarks: []experiments.BenchmarkRef{{Name: "nope"}}}},
 		{Experiment: "fig14", SchemaVersion: experiments.SchemaVersion + 1},
-		{Experiment: "fig14", SchemaVersion: 1, Interval: 1000},  // intervals are v2+
-		{Experiment: "fig14", SchemaVersion: 2, Attrib: true},    // attribution is v3+
+		{Experiment: "fig14", SchemaVersion: 1, Interval: 1000}, // intervals are v2+
+		{Experiment: "fig14", SchemaVersion: 2, Attrib: true},   // attribution is v3+
 		{Experiment: "fig14", TimeoutSeconds: -1},
 	}
 	for i, spec := range cases {

@@ -36,11 +36,11 @@ func TestShutdownDrainsInflightWithinGrace(t *testing.T) {
 	c := serve.NewClient(hs.URL, 1)
 	ctx := context.Background()
 
-	// ~4M instructions across the fig14 variants: long enough to still
-	// be running when Shutdown starts, short enough to finish well
-	// inside the grace period.
+	// ~0.5M instructions across the fig14 variants: long enough to
+	// still be running when Shutdown starts, short enough to finish
+	// well inside the grace period even under -race -tags
+	// skiainvariants.
 	inflight := tinyFig14()
-	inflight.Meta.MeasureInstructions = 1_000_000
 	inflight.Meta.Benchmarks = inflight.Meta.Benchmarks[:1]
 	running, err := c.Submit(ctx, inflight)
 	if err != nil {

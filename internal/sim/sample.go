@@ -24,6 +24,8 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"reflect"
@@ -81,6 +83,36 @@ type SamplePlan struct {
 // count a run with this plan uses. Report metadata records the
 // normalized plan so a sampled run is reproducible from its envelope.
 func (p SamplePlan) Normalized(meas uint64) SamplePlan { return p.normalized(meas) }
+
+// PlanIf is the one rule for when a run samples: it returns nil (exact
+// simulation) unless sample is set or any plan field is non-zero —
+// setting any sampling knob implies sampling.
+func PlanIf(sample bool, plan SamplePlan) *SamplePlan {
+	if !sample && plan == (SamplePlan{}) {
+		return nil
+	}
+	return &plan
+}
+
+// SampleFlags registers -sample and the -sample-* plan flags on fs. The
+// returned function, called after fs.Parse, yields the selected plan
+// (PlanIf: nil unless -sample or any -sample-* flag was set).
+func SampleFlags(fs *flag.FlagSet) func() *SamplePlan {
+	on := fs.Bool("sample", false,
+		"sampled simulation: splice K detail intervals over the measurement window instead of simulating it exactly; every headline metric gains a 95% confidence interval")
+	var p SamplePlan
+	fs.IntVar(&p.Intervals, "sample-intervals", 0,
+		"detail intervals per sampled run (0 = default 10; implies -sample)")
+	fs.Uint64Var(&p.IntervalInsts, "sample-interval", 0,
+		"measured instructions per detail interval (0 = measure/K/10; implies -sample)")
+	fs.Uint64Var(&p.MicroWarmup, "sample-warmup", 0,
+		"detail micro-warmup instructions before each interval (0 = interval/2; implies -sample)")
+	fs.Uint64Var(&p.WarmWindow, "sample-warm-window", 0,
+		"bound functional warming to the final N instructions of each interval's skip; the rest skips cold (0 = warm the whole distance; implies -sample)")
+	fs.IntVar(&p.Shards, "sample-shards", 0,
+		"fan sampled intervals out over this many cores per run; results are identical to serial (0 = 1; implies -sample)")
+	return func() *SamplePlan { return PlanIf(*on, p) }
+}
 
 // normalized resolves plan defaults against the measurement window.
 func (p SamplePlan) normalized(meas uint64) SamplePlan {
@@ -353,27 +385,17 @@ func (r *Runner) warmCore(ctx context.Context, spec RunSpec, w *workload.Workloa
 	return cell.core.Clone(), nil
 }
 
-// specPlan resolves the effective sampling plan for a spec (spec
-// override first, then the runner default; nil = exact).
-func (r *Runner) specPlan(spec RunSpec) *SamplePlan {
-	if spec.Sample != nil {
-		return spec.Sample
-	}
-	return r.Sample
-}
-
 // plannedInsts returns the detail-instruction volume a spec will
 // register with the progress plan: warmup + measurement when exact;
 // warmup + per-interval micro-warmup and measurement when sampled
 // (functionally skipped instructions are not detail work and are not
 // planned).
 func (r *Runner) plannedInsts(spec RunSpec) uint64 {
-	warm, meas := spec.windows()
-	p := r.specPlan(spec)
-	if p == nil {
+	warm, meas := Windows(spec.Warmup, spec.Measure)
+	if r.Sample == nil {
 		return warm + meas
 	}
-	np := p.normalized(meas)
+	np := r.Sample.normalized(meas)
 	total := warm
 	for i := 0; i < np.Intervals; i++ {
 		mw := np.MicroWarmup
@@ -414,10 +436,10 @@ func (r *Runner) fastForward(ctx context.Context, c *cpu.Core, n uint64, cold bo
 	return skipped, ctx.Err()
 }
 
-// intervalOutcome is one measurement interval's result set.
+// intervalOutcome is one measurement interval's result and its
+// instruction accounting.
 type intervalOutcome struct {
-	res   cpu.Result
-	rows  []metrics.Interval
+	res   Result
 	stats SampleStats
 }
 
@@ -473,11 +495,11 @@ func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan Samp
 }
 
 // runInterval executes one measurement interval on its prepared
-// snapshot: detail micro-warmup, statistics reset, detail measurement.
+// snapshot: detail micro-warmup, then the shared measurement body.
 // Each snapshot is consumed by exactly one interval, and the outcome is
 // a pure function of (snapshot, plan), which together with the serial
 // snapshot pass makes sharding shard-count-invariant.
-func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, plan SamplePlan, meas uint64, i int, interval uint64) (intervalOutcome, error) {
+func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, plan SamplePlan, meas uint64, i int) (intervalOutcome, error) {
 	var out intervalOutcome
 	start := plan.intervalStart(i, meas)
 	mw := plan.MicroWarmup
@@ -489,29 +511,14 @@ func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, pla
 		return out, fmt.Errorf("interval %d: micro-warmup aborted: %w", i, err)
 	}
 	out.stats.MicroWarmupInstructions = c.Retired() - before
-	c.ResetStats()
-	var col *metrics.Collector
-	if interval > 0 {
-		col = metrics.NewCollector(interval)
-		c.AttachCollector(col)
-	}
-	if err := r.runWindow(ctx, c, plan.IntervalInsts); err != nil {
-		return out, fmt.Errorf("interval %d: measurement aborted: %w", i, err)
-	}
-	if err := c.Frontend().Err(); err != nil {
+	res, err := r.measure(ctx, spec, c, plan.IntervalInsts)
+	if err != nil {
 		return out, fmt.Errorf("interval %d: %w", i, err)
 	}
-	out.res = c.Result(spec.Benchmark)
-	if out.res.FE.ForcedResyncs > 0 {
-		return out, fmt.Errorf("interval %d: %d forced resyncs indicate a front-end modeling bug", i, out.res.FE.ForcedResyncs)
-	}
-	out.stats.MeasuredInstructions = out.res.Instructions
+	out.res = res
+	out.stats.MeasuredInstructions = res.Instructions
 	out.stats.AdvancedInstructions = out.stats.SkippedInstructions +
 		out.stats.MicroWarmupInstructions + out.stats.MeasuredInstructions
-	if col != nil {
-		col.Finish(c.Sample())
-		out.rows = col.Intervals()
-	}
 	return out, nil
 }
 
@@ -522,17 +529,17 @@ func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, pla
 // window's instruction axis, and attaches per-metric confidence
 // intervals. detailInsts is the detail work actually executed, for
 // throughput accounting.
-func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core, plan SamplePlan, meas uint64, interval uint64) (res Result, detailInsts uint64, err error) {
+func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core, plan SamplePlan, meas uint64) (res Result, detailInsts uint64, err error) {
 	if spec.Tracer != nil {
-		return Result{}, 0, fmt.Errorf("sim: %s: sampling does not support tracing (the spliced stream has no single cycle axis)", spec.Benchmark)
+		return Result{}, 0, errors.New("sampling does not support tracing (the spliced stream has no single cycle axis)")
 	}
-	if spec.Attrib || r.Attrib {
-		return Result{}, 0, fmt.Errorf("sim: %s: sampling does not support attribution; run exact for attribution studies", spec.Benchmark)
+	if r.Attrib {
+		return Result{}, 0, errors.New("sampling does not support attribution; run exact for attribution studies")
 	}
 	K := plan.Intervals
 	snaps, deltas, err := r.buildSnapshots(ctx, master, plan, meas)
 	if err != nil {
-		return Result{}, 0, fmt.Errorf("sim: %s: %w", spec.Benchmark, err)
+		return Result{}, 0, err
 	}
 	outs := make([]intervalOutcome, K)
 	errs := make([]error, K)
@@ -546,7 +553,7 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < K; i += shards {
-				outs[i], errs[i] = r.runInterval(ctx, spec, snaps[i], plan, meas, i, interval)
+				outs[i], errs[i] = r.runInterval(ctx, spec, snaps[i], plan, meas, i)
 				outs[i].stats.SkippedInstructions = deltas[i]
 				outs[i].stats.AdvancedInstructions += deltas[i]
 				snaps[i] = nil // release the snapshot's memory promptly
@@ -556,7 +563,7 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 	wg.Wait()
 	for _, e := range errs {
 		if e != nil {
-			return Result{}, 0, fmt.Errorf("sim: %s: %w", spec.Benchmark, e)
+			return Result{}, 0, e
 		}
 	}
 
@@ -568,13 +575,13 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 	var cycBase uint64
 	idx := 0
 	for i := range outs {
-		parts[i] = outs[i].res
+		parts[i] = outs[i].res.Result
 		sstats.SkippedInstructions += outs[i].stats.SkippedInstructions
 		sstats.MicroWarmupInstructions += outs[i].stats.MicroWarmupInstructions
 		sstats.MeasuredInstructions += outs[i].stats.MeasuredInstructions
 		sstats.AdvancedInstructions += outs[i].stats.AdvancedInstructions
 		start := plan.intervalStart(i, meas)
-		for _, row := range outs[i].rows {
+		for _, row := range outs[i].res.Intervals {
 			row.Index = idx
 			idx++
 			row.StartInstruction += start
@@ -604,10 +611,7 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 			Name: m.name, Mean: m.get(&agg), CI: confidence95(vals),
 		})
 	}
-	out := Result{Result: agg, Label: spec.Label, Sampling: summary}
-	if interval > 0 {
-		out.Intervals = rows
-	}
+	out := Result{Result: agg, Label: spec.Label, Intervals: rows, Sampling: summary}
 	return out, sstats.MicroWarmupInstructions + sstats.MeasuredInstructions, nil
 }
 

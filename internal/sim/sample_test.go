@@ -2,6 +2,8 @@ package sim
 
 import (
 	"encoding/json"
+	"flag"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -46,9 +48,8 @@ func TestSampledWithinCIOfExact(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				sspec := spec
-				sspec.Sample = &SamplePlan{Intervals: 10}
-				sampled, err := r.Run(sspec)
+				r.Sample = &SamplePlan{Intervals: 10}
+				sampled, err := r.Run(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,14 +79,12 @@ func TestSampledWithinCIOfExact(t *testing.T) {
 // the sampling summary, spliced intervals, and every counter. This is
 // the sharding determinism contract the CI sampling job gates.
 func TestSampledShardCountInvariant(t *testing.T) {
-	base := sampleSpec("voter", true)
-	base.Interval = 50_000
-
+	spec := sampleSpec("voter", true)
 	var results []Result
 	for _, shards := range []int{1, 4, 16} {
-		spec := base
-		spec.Sample = &SamplePlan{Intervals: 8, Shards: shards}
 		r := NewRunner()
+		r.Interval = 50_000
+		r.Sample = &SamplePlan{Intervals: 8, Shards: shards}
 		res, err := r.Run(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -103,12 +102,16 @@ func TestSampledShardCountInvariant(t *testing.T) {
 // TestSampledRepeatable: two identical sampled runs are DeepEqual.
 func TestSampledRepeatable(t *testing.T) {
 	spec := sampleSpec("voter", true)
-	spec.Sample = &SamplePlan{Intervals: 6, Shards: 3}
-	a, err := NewRunner().Run(spec)
+	run := func() (Result, error) {
+		r := NewRunner()
+		r.Sample = &SamplePlan{Intervals: 6, Shards: 3}
+		return r.Run(spec)
+	}
+	a, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRunner().Run(spec)
+	b, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +128,9 @@ func TestSampledRepeatable(t *testing.T) {
 func TestSampleConservation(t *testing.T) {
 	spec := sampleSpec("voter", true)
 	plan := SamplePlan{Intervals: 8, Shards: 2}
-	spec.Sample = &plan
-	res, err := NewRunner().Run(spec)
+	r := NewRunner()
+	r.Sample = &plan
+	res, err := r.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestSampleConservation(t *testing.T) {
 		t.Errorf("conservation violated: skipped %d + micro-warmup %d + measured %d = %d, advanced %d",
 			c.SkippedInstructions, c.MicroWarmupInstructions, c.MeasuredInstructions, got, c.AdvancedInstructions)
 	}
-	_, meas := spec.windows()
+	_, meas := Windows(spec.Warmup, spec.Measure)
 	if c.PlannedWindow != meas {
 		t.Errorf("planned window %d, want %d", c.PlannedWindow, meas)
 	}
@@ -180,16 +184,17 @@ func TestSampleConservation(t *testing.T) {
 // inside [0, meas), cycle spans monotonic.
 func TestSampledIntervalSplice(t *testing.T) {
 	spec := sampleSpec("voter", true)
-	spec.Interval = 25_000
-	spec.Sample = &SamplePlan{Intervals: 5}
-	res, err := NewRunner().Run(spec)
+	r := NewRunner()
+	r.Interval = 25_000
+	r.Sample = &SamplePlan{Intervals: 5}
+	res, err := r.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Intervals) == 0 {
 		t.Fatal("no interval rows collected")
 	}
-	_, meas := spec.windows()
+	_, meas := Windows(spec.Warmup, spec.Measure)
 	var prevCycle uint64
 	for i, row := range res.Intervals {
 		if row.Index != i {
@@ -272,7 +277,7 @@ func TestCheckpointCacheSharedAcrossRunners(t *testing.T) {
 	if string(jw) != string(jg) {
 		t.Errorf("shared-cache run not byte-identical:\n  want %s\n  got  %s", jw, jg)
 	}
-	warm, _ := spec.windows()
+	warm, _ := Windows(spec.Warmup, spec.Measure)
 	key, err := checkpointKey(spec, warm)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +314,7 @@ func TestCheckpointKeySeparatesConfigs(t *testing.T) {
 	d := sampleSpec("noop", false)
 	keys := map[string]string{}
 	for _, spec := range []RunSpec{a, b, c, d} {
-		warm, _ := spec.windows()
+		warm, _ := Windows(spec.Warmup, spec.Measure)
 		k, err := checkpointKey(spec, warm)
 		if err != nil {
 			t.Fatal(err)
@@ -319,16 +324,15 @@ func TestCheckpointKeySeparatesConfigs(t *testing.T) {
 		}
 		keys[k] = spec.Label
 	}
-	// Label and sampling plan must NOT affect the key: they cannot
-	// change warmed state.
+	// The label must NOT affect the key: it cannot change warmed
+	// state (nor can the runner's sampling plan, which is not an input).
 	e := a
 	e.Label = "other"
-	e.Sample = &SamplePlan{Intervals: 4}
-	warm, _ := a.windows()
+	warm, _ := Windows(a.Warmup, a.Measure)
 	ka, _ := checkpointKey(a, warm)
 	ke, _ := checkpointKey(e, warm)
 	if ka != ke {
-		t.Errorf("label/sampling changed checkpoint key: %q vs %q", ka, ke)
+		t.Errorf("label changed checkpoint key: %q vs %q", ka, ke)
 	}
 }
 
@@ -372,14 +376,15 @@ func TestSampleEchoPublishesExactRow(t *testing.T) {
 // must refuse both with a clear error rather than mis-report.
 func TestSamplingRejectsTracerAndAttrib(t *testing.T) {
 	spec := sampleSpec("voter", true)
-	spec.Sample = &SamplePlan{Intervals: 2}
+	r := NewRunner()
+	r.Sample = &SamplePlan{Intervals: 2}
 	spec.Tracer = metrics.NewRingTracer(16)
-	if _, err := NewRunner().Run(spec); err == nil || !strings.Contains(err.Error(), "tracing") {
+	if _, err := r.Run(spec); err == nil || !strings.Contains(err.Error(), "tracing") {
 		t.Errorf("tracer + sampling: got %v, want tracing error", err)
 	}
 	spec.Tracer = nil
-	spec.Attrib = true
-	if _, err := NewRunner().Run(spec); err == nil || !strings.Contains(err.Error(), "attribution") {
+	r.Attrib = true
+	if _, err := r.Run(spec); err == nil || !strings.Contains(err.Error(), "attribution") {
 		t.Errorf("attrib + sampling: got %v, want attribution error", err)
 	}
 }
@@ -405,8 +410,9 @@ func TestSamplePlanNormalization(t *testing.T) {
 	}
 }
 
-// TestRunnerSampleDefaultAndOverride: Runner.Sample applies to specs
-// without a plan; a spec-level plan wins.
+// TestRunnerSampleDefaultAndOverride: Runner.Sample applies to every
+// spec; clearing it on the same runner makes the next Run exact, with
+// no sampling row.
 func TestRunnerSampleDefaultAndOverride(t *testing.T) {
 	r := NewRunner()
 	r.Sample = &SamplePlan{Intervals: 4}
@@ -418,13 +424,45 @@ func TestRunnerSampleDefaultAndOverride(t *testing.T) {
 	if res.Sampling == nil || res.Sampling.Intervals != 4 {
 		t.Fatalf("runner default plan not applied: %+v", res.Sampling)
 	}
-	spec.Sample = &SamplePlan{Intervals: 2}
+	r.Sample = nil
 	res, err = r.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sampling == nil || res.Sampling.Intervals != 2 {
-		t.Fatalf("spec override not applied: %+v", res.Sampling)
+	if res.Sampling != nil {
+		t.Fatalf("exact run after clearing Runner.Sample published sampling: %+v", res.Sampling)
+	}
+	if _, meas := Windows(spec.Warmup, spec.Measure); res.Instructions < meas {
+		t.Fatalf("exact run measured %d instructions, want the whole %d window", res.Instructions, meas)
+	}
+}
+
+// TestSampleFlagsImplySampling pins the one "any field implies
+// sampling" rule: each -sample-* flag parsed alone yields a plan
+// carrying its value, -sample alone yields the all-defaults plan, and
+// no sample flag yields nil (exact simulation).
+func TestSampleFlagsImplySampling(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want *SamplePlan
+	}{
+		{nil, nil},
+		{[]string{"-sample"}, &SamplePlan{}},
+		{[]string{"-sample-intervals", "7"}, &SamplePlan{Intervals: 7}},
+		{[]string{"-sample-interval", "5000"}, &SamplePlan{IntervalInsts: 5000}},
+		{[]string{"-sample-warmup", "300"}, &SamplePlan{MicroWarmup: 300}},
+		{[]string{"-sample-warm-window", "90000"}, &SamplePlan{WarmWindow: 90000}},
+		{[]string{"-sample-shards", "3"}, &SamplePlan{Shards: 3}},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		plan := SampleFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := plan(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v: plan %+v, want %+v", tc.args, got, tc.want)
+		}
 	}
 }
 
@@ -434,12 +472,11 @@ func TestRunnerSampleDefaultAndOverride(t *testing.T) {
 func TestPlannedInstsSampled(t *testing.T) {
 	r := NewRunner()
 	spec := sampleSpec("voter", true)
-	warm, meas := spec.windows()
+	warm, meas := Windows(spec.Warmup, spec.Measure)
 	if got := r.plannedInsts(spec); got != warm+meas {
 		t.Errorf("exact planned %d, want %d", got, warm+meas)
 	}
-	plan := SamplePlan{Intervals: 4, IntervalInsts: 10_000, MicroWarmup: 5_000}
-	spec.Sample = &plan
+	r.Sample = &SamplePlan{Intervals: 4, IntervalInsts: 10_000, MicroWarmup: 5_000}
 	// Interval 0 starts at the warmup boundary: its micro-warmup clips
 	// to zero. The rest pay the full micro-warmup.
 	want := warm + 4*10_000 + 3*5_000

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,44 +30,47 @@ const (
 	DefaultMeasure = 3_000_000
 )
 
-// RunSpec describes one simulation.
+// Windows resolves a run's warmup and measurement instruction counts
+// against the package defaults (zero selects DefaultWarmup /
+// DefaultMeasure). It is the one place window defaults resolve:
+// simulation, report metadata and spec hashes all call it.
+func Windows(warm, meas uint64) (uint64, uint64) {
+	if warm == 0 {
+		warm = DefaultWarmup
+	}
+	if meas == 0 {
+		meas = DefaultMeasure
+	}
+	return warm, meas
+}
+
+// RunSpec describes one simulation. What a run observes and whether it
+// samples are Runner settings, shared by every spec the runner runs.
 type RunSpec struct {
 	// Benchmark names a registered workload profile.
 	Benchmark string
 	// Config is the core configuration.
 	Config cpu.Config
 	// Warmup and Measure are instruction counts for the two phases;
-	// zero selects the defaults.
+	// zero selects the defaults (see Windows).
 	Warmup, Measure uint64
 	// Label annotates the result (e.g. "skia", "btb+state").
 	Label string
-	// Interval enables interval metrics collection over the
-	// measurement window, one row per this many retired instructions
-	// (0 falls back to the Runner's Interval; both 0 disables).
-	Interval uint64
 	// Tracer, when non-nil, receives front-end events during the
 	// measurement window. Each spec needs its own tracer: cores are
 	// not safe for concurrent use and RunAll runs specs in parallel.
 	Tracer metrics.Tracer
-	// Attrib enables miss attribution over the measurement window (the
-	// Runner's Attrib flag enables it for every spec). Each run gets a
-	// private attrib.Engine, so RunAll stays race-free.
-	Attrib bool
-	// Sample, when non-nil, switches this spec to sampled simulation
-	// (overriding the Runner's plan; see SamplePlan). nil falls back to
-	// the Runner's Sample, and exact simulation when both are nil.
-	Sample *SamplePlan
 }
 
 // Result pairs a cpu.Result with its spec label.
 type Result struct {
 	cpu.Result
 	Label string
-	// Intervals holds the per-interval timeseries rows when the spec
-	// (or runner) enabled interval collection; nil otherwise.
+	// Intervals holds the per-interval timeseries rows when the runner
+	// enabled interval collection; nil otherwise.
 	Intervals []metrics.Interval
-	// Attribution holds the miss-attribution summary when the spec (or
-	// runner) enabled it; nil otherwise.
+	// Attribution holds the miss-attribution summary when the runner
+	// enabled it; nil otherwise.
 	Attribution *attrib.Summary
 	// Sampling holds the sampled-simulation summary (per-metric
 	// confidence intervals, conservation counters) when the run was
@@ -130,15 +132,16 @@ type Runner struct {
 	// Workers bounds concurrent simulations in RunAll (default:
 	// GOMAXPROCS).
 	Workers int
-	// Interval, when nonzero, enables interval metrics on every Run
-	// whose spec leaves RunSpec.Interval at zero — the switch the
-	// experiment harnesses flip from Options without touching specs.
+	// Interval, when nonzero, collects interval metrics over every
+	// Run's measurement window, one row per this many retired
+	// instructions.
 	Interval uint64
-	// Attrib enables miss attribution on every Run; specs can also opt
-	// in individually via RunSpec.Attrib.
+	// Attrib enables miss attribution on every Run. Each run gets a
+	// private attrib.Engine, so RunAll stays race-free.
 	Attrib bool
-	// Sample, when non-nil, switches every Run whose spec leaves
-	// RunSpec.Sample nil to sampled simulation (see SamplePlan).
+	// Sample, when non-nil, switches every Run to sampled simulation
+	// (see SamplePlan); nil runs exact. Sampling rejects Attrib and
+	// spec tracers.
 	Sample *SamplePlan
 	// Checkpoint enables warmup checkpointing: one warmed master core
 	// is kept per (benchmark, config, warmup) and every run starts from
@@ -223,37 +226,37 @@ func (r *Runner) Workload(name string) (*workload.Workload, error) {
 }
 
 // record books one successful simulation into the runner's timing
-// counters, together with its interval summary when interval metrics
-// ran, its attribution summary when an engine was attached, and its
-// sampling summary when the run was sampled (or exact-echoed).
-func (r *Runner) record(spec RunSpec, insts uint64, start, end time.Time, ivSum *metrics.Summary, at *attrib.Summary, samp *SampleSummary) {
+// counters, together with the interval, attribution and sampling
+// summaries the result carries. insts is the detail volume simulated.
+func (r *Runner) record(res Result, insts uint64, start, end time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	bench, label := res.Benchmark, res.Label
 	r.timings = append(r.timings, SpecTiming{
-		Benchmark:    spec.Benchmark,
-		Label:        spec.Label,
+		Benchmark:    bench,
+		Label:        label,
 		Instructions: insts,
 		Seconds:      end.Sub(start).Seconds(),
 	})
-	if ivSum != nil {
+	if r.Interval > 0 {
 		r.intervalSums = append(r.intervalSums, SpecIntervals{
-			Benchmark: spec.Benchmark,
-			Label:     spec.Label,
-			Summary:   *ivSum,
+			Benchmark: bench,
+			Label:     label,
+			Summary:   metrics.Summarize(r.Interval, res.Intervals),
 		})
 	}
-	if at != nil {
+	if res.Attribution != nil {
 		r.attribSums = append(r.attribSums, SpecAttribution{
-			Benchmark: spec.Benchmark,
-			Label:     spec.Label,
-			Summary:   *at,
+			Benchmark: bench,
+			Label:     label,
+			Summary:   *res.Attribution,
 		})
 	}
-	if samp != nil {
+	if res.Sampling != nil {
 		r.samplingSums = append(r.samplingSums, SpecSampling{
-			Benchmark: spec.Benchmark,
-			Label:     spec.Label,
-			Summary:   *samp,
+			Benchmark: bench,
+			Label:     label,
+			Summary:   *res.Sampling,
 		})
 	}
 	r.totalInsts += insts
@@ -280,12 +283,7 @@ func (r *Runner) Stats() RunnerStats {
 		CPUSeconds:   r.cpuSeconds,
 		Specs:        append([]SpecTiming(nil), r.timings...),
 	}
-	sort.SliceStable(st.Specs, func(i, j int) bool {
-		if st.Specs[i].Benchmark != st.Specs[j].Benchmark {
-			return st.Specs[i].Benchmark < st.Specs[j].Benchmark
-		}
-		return st.Specs[i].Label < st.Specs[j].Label
-	})
+	sortByBenchLabel(st.Specs, func(s SpecTiming) (string, string) { return s.Benchmark, s.Label })
 	if !r.firstStart.IsZero() {
 		st.WallSeconds = r.lastEnd.Sub(r.firstStart).Seconds()
 	}
@@ -367,19 +365,6 @@ func (r *Runner) Progress() (done, planned uint64) {
 	return r.progressDone.Load(), r.progressPlanned.Load()
 }
 
-// windows resolves the spec's warmup and measurement instruction
-// counts against the package defaults.
-func (s RunSpec) windows() (warm, meas uint64) {
-	warm, meas = s.Warmup, s.Measure
-	if warm == 0 {
-		warm = DefaultWarmup
-	}
-	if meas == 0 {
-		meas = DefaultMeasure
-	}
-	return warm, meas
-}
-
 // Run executes one simulation: build core, warm up, reset statistics,
 // measure. It is RunContext under the runner's BaseContext.
 func (r *Runner) Run(spec RunSpec) (Result, error) {
@@ -409,7 +394,7 @@ func (r *Runner) runContext(ctx context.Context, spec RunSpec, plan bool) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	warm, meas := spec.windows()
+	warm, meas := Windows(spec.Warmup, spec.Measure)
 	if plan {
 		r.addPlanned(r.plannedInsts(spec))
 	}
@@ -417,78 +402,62 @@ func (r *Runner) runContext(ctx context.Context, spec RunSpec, plan bool) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	if p := r.specPlan(spec); p != nil {
-		np := p.normalized(meas)
-		interval := spec.Interval
-		if interval == 0 {
-			interval = r.Interval
-		}
-		out, detail, err := r.runSampled(ctx, spec, c, np, meas, interval)
-		if err != nil {
-			return Result{}, err
-		}
-		var ivSum *metrics.Summary
-		if interval > 0 {
-			s := metrics.Summarize(interval, out.Intervals)
-			ivSum = &s
-		}
-		//skia:nondet-ok wall-clock closes the throughput window opened above; no simulated state depends on it
-		r.record(spec, warm+detail, start, time.Now(), ivSum, nil, out.Sampling)
-		return out, nil
+	var out Result
+	detail := meas
+	if r.Sample != nil {
+		out, detail, err = r.runSampled(ctx, spec, c, r.Sample.normalized(meas), meas)
+	} else if out, err = r.measure(ctx, spec, c, meas); err == nil && r.SampleEcho {
+		out.Sampling = exactEcho(&out.Result, meas)
 	}
+	if err != nil {
+		return Result{}, fmt.Errorf("sim: %s: %w", spec.Benchmark, err)
+	}
+	//skia:nondet-ok wall-clock closes the throughput window opened above; no simulated state depends on it
+	r.record(out, warm+detail, start, time.Now())
+	return out, nil
+}
+
+// measure is the one measurement body, shared by the exact window and
+// every sampled interval: reset statistics, attach the observers
+// (interval collector, attribution engine, the spec's tracer) at the
+// boundary so they cover exactly the window the statistics do, run n
+// instructions, reject front-end errors and forced resyncs, and finish
+// the collector. Observers are private to this call — RunAll's workers
+// never share one — so capture stays race-free; only record() touches
+// runner state, under the mutex.
+func (r *Runner) measure(ctx context.Context, spec RunSpec, c *cpu.Core, n uint64) (Result, error) {
 	c.ResetStats()
-	// Observability attaches at the warmup boundary so intervals and
-	// traces cover exactly the measurement window the statistics do.
-	// The collector is private to this call — RunAll's workers never
-	// share one — so capture stays race-free; only record() touches
-	// runner state, under the mutex.
-	interval := spec.Interval
-	if interval == 0 {
-		interval = r.Interval
-	}
 	var col *metrics.Collector
-	if interval > 0 {
-		col = metrics.NewCollector(interval)
+	if r.Interval > 0 {
+		col = metrics.NewCollector(r.Interval)
 		c.AttachCollector(col)
 	}
 	if spec.Tracer != nil {
 		c.SetTracer(spec.Tracer)
 	}
 	var eng *attrib.Engine
-	if spec.Attrib || r.Attrib {
+	if r.Attrib {
 		eng = attrib.NewEngine()
 		c.AttachAttribution(eng)
 	}
-	if err := r.runWindow(ctx, c, meas); err != nil {
-		return Result{}, fmt.Errorf("sim: %s: measurement aborted: %w", spec.Benchmark, err)
+	if err := r.runWindow(ctx, c, n); err != nil {
+		return Result{}, fmt.Errorf("measurement aborted: %w", err)
 	}
 	if err := c.Frontend().Err(); err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", spec.Benchmark, err)
+		return Result{}, err
 	}
-	res := c.Result(spec.Benchmark)
-	if res.FE.ForcedResyncs > 0 {
-		return Result{}, fmt.Errorf("sim: %s: %d forced resyncs indicate a front-end modeling bug",
-			spec.Benchmark, res.FE.ForcedResyncs)
+	out := Result{Result: c.Result(spec.Benchmark), Label: spec.Label}
+	if fr := out.FE.ForcedResyncs; fr > 0 {
+		return Result{}, fmt.Errorf("%d forced resyncs indicate a front-end modeling bug", fr)
 	}
-	out := Result{Result: res, Label: spec.Label}
-	var ivSum *metrics.Summary
 	if col != nil {
 		col.Finish(c.Sample())
 		out.Intervals = col.Intervals()
-		s := col.Summary()
-		ivSum = &s
 	}
-	var atSum *attrib.Summary
 	if eng != nil {
 		s := eng.Summary()
-		atSum = &s
-		out.Attribution = atSum
+		out.Attribution = &s
 	}
-	if r.SampleEcho {
-		out.Sampling = exactEcho(&res, meas)
-	}
-	//skia:nondet-ok wall-clock closes the throughput window opened above; no simulated state depends on it
-	r.record(spec, warm+meas, start, time.Now(), ivSum, atSum, out.Sampling)
 	return out, nil
 }
 
@@ -498,12 +467,7 @@ func (r *Runner) IntervalSummaries() []SpecIntervals {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := append([]SpecIntervals(nil), r.intervalSums...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
-		}
-		return out[i].Label < out[j].Label
-	})
+	sortByBenchLabel(out, func(s SpecIntervals) (string, string) { return s.Benchmark, s.Label })
 	return out
 }
 
@@ -514,12 +478,7 @@ func (r *Runner) AttributionSummaries() []SpecAttribution {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := append([]SpecAttribution(nil), r.attribSums...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Benchmark != out[j].Benchmark {
-			return out[i].Benchmark < out[j].Benchmark
-		}
-		return out[i].Label < out[j].Label
-	})
+	sortByBenchLabel(out, func(s SpecAttribution) (string, string) { return s.Benchmark, s.Label })
 	return out
 }
 

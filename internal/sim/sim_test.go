@@ -238,9 +238,9 @@ func TestRunnerStats(t *testing.T) {
 // interval widths to the measured window.
 func TestRunIntervalsSumToAggregate(t *testing.T) {
 	r := NewRunner()
+	r.Interval = 40_000 // deliberately misaligned with 150k measured
 	spec := quickSpec("iv", true)
 	spec.Benchmark = "voter"
-	spec.Interval = 40_000 // deliberately misaligned with 150k measured
 	res, err := r.Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -288,9 +288,8 @@ func TestRunIntervalsSumToAggregate(t *testing.T) {
 // whole measured window.
 func TestRunIntervalLargerThanWindow(t *testing.T) {
 	r := NewRunner()
-	spec := quickSpec("big", false)
-	spec.Interval = 10_000_000
-	res, err := r.Run(spec)
+	r.Interval = 10_000_000
+	res, err := r.Run(quickSpec("big", false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +303,8 @@ func TestRunIntervalLargerThanWindow(t *testing.T) {
 }
 
 // TestRunnerIntervalDefault: the runner-level knob enables collection
-// for specs that leave Interval zero, and summaries land in
-// IntervalSummaries sorted like Stats().Specs.
+// for every spec, and summaries land in IntervalSummaries sorted like
+// Stats().Specs.
 func TestRunnerIntervalDefault(t *testing.T) {
 	r := NewRunner()
 	r.Interval = 50_000
@@ -412,15 +411,14 @@ func TestAttributionConservation(t *testing.T) {
 			label = "skia"
 		}
 		r := NewRunner()
-		spec := quickSpec(label, skia)
-		spec.Attrib = true
-		res, err := r.Run(spec)
+		r.Attrib = true
+		res, err := r.Run(quickSpec(label, skia))
 		if err != nil {
 			t.Fatal(err)
 		}
 		at := res.Attribution
 		if at == nil {
-			t.Fatalf("%s: Attrib spec returned nil Attribution", label)
+			t.Fatalf("%s: Attrib runner returned nil Attribution", label)
 		}
 		var causeSum uint64
 		for _, c := range at.Causes {

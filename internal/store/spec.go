@@ -56,86 +56,48 @@ type Spec struct {
 // default instruction windows and the default benchmark suite (with
 // registry seeds) so equivalent option spellings produce one hash.
 func NewSpec(experiment string, o experiments.Options) Spec {
-	s := Spec{
-		Experiment:           experiment,
-		WarmupInstructions:   o.Warmup,
-		MeasureInstructions:  o.Measure,
-		IntervalInstructions: o.Interval,
-		Attrib:               o.Attrib,
-	}
-	if s.WarmupInstructions == 0 {
-		s.WarmupInstructions = sim.DefaultWarmup
-	}
-	if s.MeasureInstructions == 0 {
-		s.MeasureInstructions = sim.DefaultMeasure
-	}
-	if o.Sample != nil {
-		p := o.Sample.Normalized(s.MeasureInstructions)
-		s.SampleIntervals = p.Intervals
-		s.SampleIntervalInstructions = p.IntervalInsts
-		s.SampleMicroWarmupInstructions = p.MicroWarmup
-		s.SampleWarmWindowInstructions = p.WarmWindow
-	} else {
-		s.SampleEcho = o.SampleEcho
-	}
-	names := o.Benchmarks
-	if len(names) == 0 {
-		names = workload.SuiteNames()
-	}
-	for _, n := range names {
-		ref := experiments.BenchmarkRef{Name: n}
-		if p, err := workload.ByName(n); err == nil {
-			ref.Seed = p.Seed
-		}
-		s.Benchmarks = append(s.Benchmarks, ref)
-	}
-	return s
+	return specOf(experiment, o.Meta(o.Benchmarks), o.Attrib, o.Sample == nil && o.SampleEcho)
 }
 
 // SpecOfReport recovers the spec from a report envelope's metadata.
 // Schema v5 envelopes carry everything (the interval window and the
 // sample plan included); older envelopes normalize with those features
-// off. The
-// recovered spec hashes identically to the NewSpec the producer would
-// have built, so `skiaboard put` imports join the same trajectory as
-// live skiaserve archives.
+// off. The recovered spec hashes identically to the NewSpec the
+// producer would have built, so `skiaboard put` imports join the same
+// trajectory as live skiaserve archives.
 func SpecOfReport(rep *experiments.Report) Spec {
-	s := Spec{
-		Experiment:           rep.ID,
-		WarmupInstructions:   rep.Meta.WarmupInstructions,
-		MeasureInstructions:  rep.Meta.MeasureInstructions,
-		Benchmarks:           rep.Meta.Benchmarks,
-		IntervalInstructions: rep.Meta.IntervalInstructions,
-		Attrib:               len(rep.Attribution) > 0,
-
-		SampleIntervals:               rep.Meta.SampleIntervals,
-		SampleIntervalInstructions:    rep.Meta.SampleIntervalInstructions,
-		SampleMicroWarmupInstructions: rep.Meta.SampleMicroWarmupInstructions,
-		SampleWarmWindowInstructions:  rep.Meta.SampleWarmWindowInstructions,
-	}
+	echo := false
 	for _, row := range rep.Sampling {
 		if row.Summary.Exact {
-			s.SampleEcho = true
+			echo = true
 			break
 		}
 	}
-	if s.WarmupInstructions == 0 {
-		s.WarmupInstructions = sim.DefaultWarmup
-	}
-	if s.MeasureInstructions == 0 {
-		s.MeasureInstructions = sim.DefaultMeasure
+	return specOf(rep.ID, rep.Meta, len(rep.Attribution) > 0, echo)
+}
+
+// specOf builds the spec from run metadata — live options resolved by
+// Options.Meta, or a report's envelope — resolving the windows an older
+// envelope may leave zero, and an empty benchmark list to the default
+// suite (static-table reports stamp none).
+func specOf(experiment string, m experiments.RunMeta, attrib, echo bool) Spec {
+	warm, meas := sim.Windows(m.WarmupInstructions, m.MeasureInstructions)
+	s := Spec{
+		Experiment:           experiment,
+		WarmupInstructions:   warm,
+		MeasureInstructions:  meas,
+		Benchmarks:           m.Benchmarks,
+		IntervalInstructions: m.IntervalInstructions,
+		Attrib:               attrib,
+
+		SampleIntervals:               m.SampleIntervals,
+		SampleIntervalInstructions:    m.SampleIntervalInstructions,
+		SampleMicroWarmupInstructions: m.SampleMicroWarmupInstructions,
+		SampleWarmWindowInstructions:  m.SampleWarmWindowInstructions,
+		SampleEcho:                    echo,
 	}
 	if len(s.Benchmarks) == 0 {
-		// Static-table reports don't stamp benchmarks; normalize to the
-		// default suite so they hash like the NewSpec a live producer
-		// builds.
-		for _, n := range workload.SuiteNames() {
-			ref := experiments.BenchmarkRef{Name: n}
-			if p, err := workload.ByName(n); err == nil {
-				ref.Seed = p.Seed
-			}
-			s.Benchmarks = append(s.Benchmarks, ref)
-		}
+		s.Benchmarks = experiments.BenchmarkRefs(workload.SuiteNames())
 	}
 	return s
 }

@@ -244,7 +244,7 @@ func TestHistoryTrajectoriesAndRollups(t *testing.T) {
 	_, data2 := fakeReport(t, "fig14", 2.0)
 	_, data3 := fakeReport(t, "fig14", 3.0)
 	for i, d := range [][]byte{data1, data2, data3} {
-		if _, _, err := a.PutReport(d, spec, stamp(i * 30)); err != nil {
+		if _, _, err := a.PutReport(d, spec, stamp(i*30)); err != nil {
 			t.Fatal(err)
 		}
 	}
