@@ -16,16 +16,16 @@ import (
 // speculative state, the cheap skip primitive interval sampling splices
 // detail windows with.
 
-// cloneBlock deep-copies one FTQ block: everything is a value except
-// the Conds slice, whose backing array is owned by exactly one block
-// at a time (see putConds) and so must not be shared across cores.
-func cloneBlock(b Block) Block {
+// cloneBlock deep-copies one block: everything is a value except the
+// Conds slice, whose backing array has exactly one owner (see
+// Block.Conds) and so must not be shared across cores.
+func cloneBlock(b *Block) Block {
+	c := *b
 	if b.Conds != nil {
-		conds := make([]CondRec, len(b.Conds))
-		copy(conds, b.Conds)
-		b.Conds = conds
+		c.Conds = make([]CondRec, len(b.Conds))
+		copy(c.Conds, b.Conds)
 	}
-	return b
+	return c
 }
 
 // Clone returns an independent deep copy of the front-end over the same
@@ -60,7 +60,7 @@ func (f *FrontEnd) Clone() *FrontEnd {
 		redir:        f.redir,
 		hasRedir:     f.hasRedir,
 
-		cur:        cloneBlock(f.cur),
+		cur:        cloneBlock(&f.cur),
 		hasCur:     f.hasCur,
 		curPC:      f.curPC,
 		idleStreak: f.idleStreak,
@@ -111,8 +111,8 @@ func (f *FrontEnd) Clone() *FrontEnd {
 // short of n only when the workload halts.
 func (f *FrontEnd) FastForward(n uint64) uint64 {
 	// Squash all in-flight speculative state.
-	f.flushFTQ()
-	f.clearCur()
+	f.q.Reset()
+	f.hasCur = false
 	f.hasRedir = false
 	f.iagStallTill = 0
 	f.idleStreak = 0
@@ -160,8 +160,8 @@ func (f *FrontEnd) FastForward(n uint64) uint64 {
 // is at temperature when measurement starts.
 func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	// Squash all in-flight speculative state (as FastForward does).
-	f.flushFTQ()
-	f.clearCur()
+	f.q.Reset()
+	f.hasCur = false
 	f.hasRedir = false
 	f.iagStallTill = 0
 	f.idleStreak = 0

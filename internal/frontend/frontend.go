@@ -68,9 +68,10 @@ type Block struct {
 	// validates the configured span fits).
 	Lines  [maxBlockLineSpan]LineFetch
 	NLines int
-	// Conds lists predicted-not-taken conditionals inside the block. The
-	// backing array is recycled through the front-end's condPool when
-	// the block dies.
+	// Conds lists predicted-not-taken conditionals inside the block.
+	// Every FTQ slot and the front-end's current block each own one
+	// backing array: decode swaps arrays when it takes the FTQ head, and
+	// formBlock truncates the slot's array and appends to it.
 	Conds []CondRec
 	// TermCond is the TAGE bookkeeping for a conditional terminator.
 	TermCond tage.Prediction
@@ -130,7 +131,8 @@ type FrontEnd struct {
 	// cur/hasCur and pending/hasPending are value slots, not pointers:
 	// storing &local in a struct field forces the local to escape, which
 	// used to heap-allocate once per decoded block and once per executed
-	// instruction.
+	// instruction. cur stays readable after hasCur clears, until decode
+	// takes the next FTQ head.
 	cur        Block
 	hasCur     bool
 	curPC      uint64
@@ -151,9 +153,6 @@ type FrontEnd struct {
 	// ablation there is no SBB to key off; the map then grows to the set
 	// of distinct shadow-decoded PCs, which the program size bounds.)
 	extraOffs map[uint64]uint64
-	// condPool recycles Conds backing arrays across dead blocks.
-	//skia:shared-ok allocation-recycling pool: a clone starting empty re-allocates on first use, results are unaffected
-	condPool [][]CondRec
 	// dcache memoizes shadow decodes for detail and warm simulation
 	// alike (nil when disabled).
 	dcache *core.DecodeCache
@@ -177,6 +176,12 @@ type FrontEnd struct {
 func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 	if cfg.MaxBlockLines+1 > maxBlockLineSpan {
 		return nil, fmt.Errorf("frontend: MaxBlockLines %d exceeds the supported span of %d lines", cfg.MaxBlockLines, maxBlockLineSpan-1)
+	}
+	if err := cfg.TAGE.Validate(); err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
+	}
+	if err := cfg.ITTAGE.Validate(); err != nil {
+		return nil, fmt.Errorf("frontend: %w", err)
 	}
 	l1i, err := cache.New(cfg.L1ISize, cfg.L1IWays, program.LineSize)
 	if err != nil {
@@ -366,49 +371,6 @@ func (f *FrontEnd) peek() (emu.Step, bool) {
 // consume advances past the peeked step.
 func (f *FrontEnd) consume() { f.hasPending = false }
 
-// getConds hands out a recycled Conds backing array (nil when the pool
-// is empty; append grows it as before).
-func (f *FrontEnd) getConds() []CondRec {
-	if n := len(f.condPool); n > 0 {
-		s := f.condPool[n-1]
-		f.condPool = f.condPool[:n-1]
-		return s
-	}
-	return nil
-}
-
-// putConds returns a dead block's Conds storage to the pool. Each
-// backing array has exactly one owner at any time (local in formBlock,
-// then the FTQ slot, then f.cur), so recycle sites never double-free.
-func (f *FrontEnd) putConds(s []CondRec) {
-	if cap(s) > 0 {
-		f.condPool = append(f.condPool, s[:0])
-	}
-}
-
-// clearCur retires the current block, recycling its Conds storage. The
-// rest of f.cur is left intact: verification paths keep reading block
-// fields (never Conds) through a pointer after clearing it.
-func (f *FrontEnd) clearCur() {
-	if !f.hasCur {
-		return
-	}
-	f.putConds(f.cur.Conds)
-	f.cur.Conds = nil
-	f.hasCur = false
-}
-
-// flushFTQ squashes the queue, recycling every queued block's Conds
-// storage first.
-func (f *FrontEnd) flushFTQ() {
-	for i := 0; i < f.q.Len(); i++ {
-		if b, ok := f.q.At(i); ok {
-			f.putConds(b.Conds)
-		}
-	}
-	f.q.Flush()
-}
-
 // pruneShadowOff clears pc's probe-candidate bit once its SBB entry is
 // gone (wired to the SBB's OnRemove hook).
 //
@@ -448,7 +410,7 @@ func (f *FrontEnd) Step(maxDecode int) int {
 	// 2. IAG: form predicted blocks into the FTQ.
 	if f.cycle >= f.iagStallTill {
 		for i := 0; i < 2 && !f.q.Full(); i++ {
-			f.q.Push(f.formBlock())
+			f.formBlock(f.q.Reserve())
 		}
 	}
 
@@ -493,8 +455,8 @@ func (f *FrontEnd) scheduleRedirect(pc uint64, kind redirectKind, cause attrib.S
 	case redirectDecode:
 		f.stats.DecodeResteers++
 		f.emit(metrics.EvDecodeResteer, pc, 0)
-		f.flushFTQ()
-		f.clearCur()
+		f.q.Reset()
+		f.hasCur = false
 		f.specPC = pc
 		f.entryTgt = true
 		f.rs.LoadFrom(f.em.Stack())
@@ -516,8 +478,8 @@ func (f *FrontEnd) applyRedirect() {
 	r := f.redir
 	f.hasRedir = false
 	if r.kind == redirectExec {
-		f.flushFTQ()
-		f.clearCur()
+		f.q.Reset()
+		f.hasCur = false
 		f.specPC = r.pc
 		f.entryTgt = true
 		f.rs.LoadFrom(f.em.Stack())
@@ -541,17 +503,17 @@ func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 	return m
 }
 
-// formBlock builds the next predicted basic block from specPC,
-// consulting BTB, SBB, TAGE, ITTAGE and RAS, issues its prefetches, and
-// schedules shadow decodes.
+// formBlock builds the next predicted basic block from specPC into the
+// reserved FTQ slot blk, consulting BTB, SBB, TAGE, ITTAGE and RAS,
+// issues its prefetches, and schedules shadow decodes.
 //
 //skia:noalloc
-func (f *FrontEnd) formBlock() Block {
-	blk := Block{
+func (f *FrontEnd) formBlock(blk *Block) {
+	*blk = Block{
 		Start:         f.specPC,
 		EntryIsTarget: f.entryTgt,
 		WrongPath:     f.hasRedir,
-		Conds:         f.getConds(),
+		Conds:         blk.Conds[:0],
 	}
 	pos := f.specPC
 
@@ -564,7 +526,7 @@ scan:
 				continue
 			}
 			if e, ok := f.btb.Lookup(pc); ok {
-				if f.terminateViaBTB(&blk, pc, e) {
+				if f.terminateViaBTB(blk, pc, e) {
 					break scan
 				}
 				// Predicted not-taken conditional: continue past it.
@@ -711,7 +673,6 @@ scan:
 	// Advance the speculative PC.
 	f.specPC = blk.Target
 	f.entryTgt = blk.TakenPred
-	return blk
 }
 
 // terminateViaBTB handles a BTB hit during the scan. It returns true
@@ -912,43 +873,44 @@ func (f *FrontEnd) decode(max int) int {
 			return delivered
 		}
 		if !f.hasCur {
-			head, ok := f.q.Peek()
-			if !ok {
+			head := f.q.Front()
+			if head == nil {
 				idle(attrib.StallFTQEmpty)
 				return delivered
 			}
 			if head.ReadyAt > f.cycle {
-				idle(fetchStall(&head))
+				idle(fetchStall(head))
 				return delivered
 			}
-			blk, _ := f.q.Pop()
+			// Take the head into cur; the slot keeps cur's old Conds
+			// array, so each array keeps exactly one owner.
+			conds := f.cur.Conds
+			f.cur = *head
+			head.Conds = conds
+			f.q.Drop()
 			st, ok := f.peek()
 			if !ok {
-				f.putConds(blk.Conds)
 				return delivered
 			}
 			// Accept the block if the next true instruction lies inside
 			// it. The true PC may be past blk.Start when the previous
 			// block's last instruction straddled the block boundary
 			// (fetch regions are byte ranges; decode carries over).
+			blk := &f.cur
 			pc := st.Inst.PC
 			switch {
 			case pc < blk.Start:
 				// Stale block from before a squash; drop it.
-				f.putConds(blk.Conds)
 				continue
 			case blk.TakenPred && pc > blk.BranchPC:
 				// The straddling instruction swallowed the predicted
 				// terminator: the terminator entry is bogus.
-				f.cur = blk
 				f.hasCur = true
 				f.phantom(pc)
 				continue
 			case !blk.TakenPred && pc >= blk.End:
-				f.putConds(blk.Conds)
 				continue
 			}
-			f.cur = blk
 			f.hasCur = true
 			f.curPC = pc
 		}
@@ -1019,7 +981,7 @@ func (f *FrontEnd) phantom(truePC uint64) {
 	} else {
 		f.btb.Invalidate(f.cur.BranchPC)
 	}
-	f.clearCur()
+	f.hasCur = false
 	f.scheduleRedirect(truePC, redirectDecode, cause)
 }
 
@@ -1047,7 +1009,7 @@ func (f *FrontEnd) verifyTerminator(st emu.Step) {
 		} else {
 			f.btb.Invalidate(blk.BranchPC)
 		}
-		f.clearCur()
+		f.hasCur = false
 		if st.Taken {
 			f.countBTBMiss(blk, in, false)
 			f.insertBTB(in, st.NextPC)
@@ -1079,7 +1041,7 @@ func (f *FrontEnd) verifyTerminator(st emu.Step) {
 			// Predicted taken, actually not taken: direction
 			// misprediction resolved at execute.
 			f.stats.CondMispredicts++
-			f.clearCur()
+			f.hasCur = false
 			f.scheduleRedirect(st.NextPC, redirectExec, attrib.StallResteerMispredict)
 			return
 		}
@@ -1104,12 +1066,12 @@ func (f *FrontEnd) verifyTerminator(st emu.Step) {
 
 	if blk.Target == st.NextPC {
 		// Fully correct: move to the next block.
-		f.clearCur()
+		f.hasCur = false
 		return
 	}
 
 	// Right branch, wrong target.
-	f.clearCur()
+	f.hasCur = false
 	switch in.Class {
 	case isa.ClassDirectCond, isa.ClassDirectUncond, isa.ClassCall:
 		// The true target is encoded in the instruction: decode fixes
@@ -1142,7 +1104,7 @@ func (f *FrontEnd) verifyMidBlock(st emu.Step) {
 				// Identified, predicted not-taken, actually taken:
 				// direction misprediction, resolved at execute.
 				f.stats.CondMispredicts++
-				f.clearCur()
+				f.hasCur = false
 				f.scheduleRedirect(st.NextPC, redirectExec, attrib.StallResteerMispredict)
 				return
 			}
@@ -1162,7 +1124,7 @@ func (f *FrontEnd) verifyMidBlock(st emu.Step) {
 	// target lookup also went wrong — absent identification is the root.
 	f.countBTBMiss(blk, in, false)
 	f.insertBTB(in, st.NextPC) // decode fills the BTB
-	f.clearCur()
+	f.hasCur = false
 	switch in.Class {
 	case isa.ClassDirectUncond, isa.ClassCall:
 		// Target computable at decode: early re-steer.
@@ -1193,6 +1155,6 @@ func (f *FrontEnd) verifyMidBlock(st emu.Step) {
 func (f *FrontEnd) advanceWithin(st emu.Step) {
 	f.curPC = st.NextPC
 	if !f.cur.TakenPred && f.curPC >= f.cur.End {
-		f.clearCur()
+		f.hasCur = false
 	}
 }

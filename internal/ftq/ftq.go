@@ -4,8 +4,9 @@
 // one predicted basic block; the queue's depth (paper: 24) bounds how
 // far the BPU can run ahead of fetch.
 //
-// The queue is generic so the front-end can store its own block type
-// while tests exercise the container in isolation.
+// Elements live in the queue's slots and are reached by pointer, never
+// copied in or out. A slot keeps what its last occupant left, so a
+// buffer an element owns stays with the slot for the next occupant.
 package ftq
 
 // Queue is a bounded FIFO ring buffer. The zero value is unusable; use
@@ -33,77 +34,70 @@ func (q *Queue[T]) Cap() int { return len(q.buf) }
 // Full reports whether the queue is at capacity.
 func (q *Queue[T]) Full() bool { return q.count == len(q.buf) }
 
-// Empty reports whether the queue has no elements.
-func (q *Queue[T]) Empty() bool { return q.count == 0 }
-
-// Push appends an element; it reports false when the queue is full.
-func (q *Queue[T]) Push(v T) bool {
+// Reserve appends the tail slot and returns it for the caller to fill;
+// it returns nil when the queue is full. The slot still holds its
+// previous occupant.
+func (q *Queue[T]) Reserve() *T {
 	if invariantsEnabled {
 		ftqCheckInvariants(q)
 	}
 	if q.Full() {
-		return false
+		return nil
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = v
+	s := &q.buf[(q.head+q.count)%len(q.buf)]
 	q.count++
-	return true
+	return s
 }
 
-// Peek returns the oldest element without removing it.
-func (q *Queue[T]) Peek() (T, bool) {
-	var zero T
-	if q.count == 0 {
-		return zero, false
-	}
-	return q.buf[q.head], true
-}
-
-// Pop removes and returns the oldest element.
-func (q *Queue[T]) Pop() (T, bool) {
+// Front returns the oldest element in place, nil when empty.
+func (q *Queue[T]) Front() *T {
 	if invariantsEnabled {
 		ftqCheckInvariants(q)
 	}
-	var zero T
 	if q.count == 0 {
-		return zero, false
+		return nil
 	}
-	v := q.buf[q.head]
-	q.buf[q.head] = zero // release references
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	return v, true
+	return &q.buf[q.head]
 }
 
-// Flush discards every element (a pipeline squash).
-func (q *Queue[T]) Flush() {
-	var zero T
-	for i := 0; i < q.count; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = zero
+// Drop removes the oldest element, leaving its slot's contents for the
+// next occupant; it is a no-op on an empty queue.
+func (q *Queue[T]) Drop() {
+	if invariantsEnabled {
+		ftqCheckInvariants(q)
+	}
+	if q.count == 0 {
+		return
+	}
+	q.head = (q.head + 1) % len(q.buf)
+	q.count--
+}
+
+// Slot returns the i-th oldest element in place (0 = front), nil when
+// i is out of range.
+func (q *Queue[T]) Slot(i int) *T {
+	if i < 0 || i >= q.count {
+		return nil
+	}
+	return &q.buf[(q.head+i)%len(q.buf)]
+}
+
+// Reset discards every element (a pipeline squash); slots keep their
+// contents for reuse.
+func (q *Queue[T]) Reset() {
+	if invariantsEnabled {
+		ftqCheckInvariants(q)
 	}
 	q.head, q.count = 0, 0
 }
 
-// Clone returns an independent deep copy of the queue. cloneElem, when
-// non-nil, deep-copies each live element (needed when T holds pointers
-// or slices); nil means plain value copies suffice.
-func (q *Queue[T]) Clone(cloneElem func(T) T) *Queue[T] {
+// Clone returns an independent copy of the queue: cloneElem deep-copies
+// each live element, and free slots start zeroed.
+func (q *Queue[T]) Clone(cloneElem func(*T) T) *Queue[T] {
 	n := &Queue[T]{buf: make([]T, len(q.buf)), head: q.head, count: q.count}
 	for i := 0; i < q.count; i++ {
 		idx := (q.head + i) % len(q.buf)
-		if cloneElem != nil {
-			n.buf[idx] = cloneElem(q.buf[idx])
-		} else {
-			n.buf[idx] = q.buf[idx]
-		}
+		n.buf[idx] = cloneElem(&q.buf[idx])
 	}
 	return n
-}
-
-// At returns the i-th oldest element (0 = front) for inspection.
-func (q *Queue[T]) At(i int) (T, bool) {
-	var zero T
-	if i < 0 || i >= q.count {
-		return zero, false
-	}
-	return q.buf[(q.head+i)%len(q.buf)], true
 }

@@ -2,42 +2,89 @@ package ftq
 
 import "testing"
 
+// push fills the reserved tail slot with v.
+func push(q *Queue[int], v int) bool {
+	s := q.Reserve()
+	if s == nil {
+		return false
+	}
+	*s = v
+	return true
+}
+
+// pop reads and drops the front element.
+func pop(q *Queue[int]) (int, bool) {
+	s := q.Front()
+	if s == nil {
+		return 0, false
+	}
+	v := *s
+	q.Drop()
+	return v, true
+}
+
 func TestPushPopFIFO(t *testing.T) {
 	q := New[int](4)
 	for i := 1; i <= 4; i++ {
-		if !q.Push(i) {
+		if !push(q, i) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	if q.Push(5) {
-		t.Error("push into full queue succeeded")
+	if push(q, 5) {
+		t.Error("reserve on full queue succeeded")
 	}
 	if !q.Full() || q.Len() != 4 {
 		t.Errorf("len=%d full=%v", q.Len(), q.Full())
 	}
 	for i := 1; i <= 4; i++ {
-		v, ok := q.Pop()
+		v, ok := pop(q)
 		if !ok || v != i {
 			t.Fatalf("pop = %d,%v want %d", v, ok, i)
 		}
 	}
-	if _, ok := q.Pop(); ok {
+	if _, ok := pop(q); ok {
 		t.Error("pop from empty succeeded")
+	}
+	q.Drop() // no-op on empty
+	if q.Len() != 0 {
+		t.Errorf("drop on empty: len=%d", q.Len())
 	}
 }
 
 func TestPeek(t *testing.T) {
 	q := New[string](2)
-	if _, ok := q.Peek(); ok {
-		t.Error("peek on empty")
+	if q.Front() != nil {
+		t.Error("front on empty")
 	}
-	q.Push("a")
-	q.Push("b")
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Errorf("peek = %q,%v", v, ok)
+	*q.Reserve() = "a"
+	*q.Reserve() = "b"
+	if s := q.Front(); s == nil || *s != "a" {
+		t.Errorf("front = %v", s)
 	}
 	if q.Len() != 2 {
-		t.Error("peek consumed")
+		t.Error("front consumed")
+	}
+	// Front is the slot itself: writes through it are seen by the queue.
+	*q.Front() = "c"
+	if *q.Slot(0) != "c" {
+		t.Error("front is not the slot")
+	}
+}
+
+// TestSlotReuse pins that a slot keeps its last occupant after Drop
+// and Reset, so the next Reserve of that slot sees it.
+func TestSlotReuse(t *testing.T) {
+	q := New[[]int](2)
+	*q.Reserve() = make([]int, 0, 8)
+	buf := *q.Front()
+	q.Drop()
+	*q.Reserve() = nil
+	if s := q.Reserve(); cap(*s) != 8 || &(*s)[:1][0] != &buf[:1][0] {
+		t.Errorf("slot lost its buffer after Drop: cap %d", cap(*s))
+	}
+	q.Reset()
+	if s := q.Reserve(); cap(*s) != 8 {
+		t.Errorf("slot lost its buffer after Reset: cap %d", cap(*s))
 	}
 }
 
@@ -45,12 +92,12 @@ func TestWrapAround(t *testing.T) {
 	q := New[int](3)
 	for round := 0; round < 10; round++ {
 		for i := 0; i < 3; i++ {
-			if !q.Push(round*10 + i) {
+			if !push(q, round*10+i) {
 				t.Fatal("push failed")
 			}
 		}
 		for i := 0; i < 3; i++ {
-			v, ok := q.Pop()
+			v, ok := pop(q)
 			if !ok || v != round*10+i {
 				t.Fatalf("round %d: pop = %d,%v", round, v, ok)
 			}
@@ -61,36 +108,55 @@ func TestWrapAround(t *testing.T) {
 func TestFlush(t *testing.T) {
 	q := New[int](8)
 	for i := 0; i < 5; i++ {
-		q.Push(i)
+		push(q, i)
 	}
-	q.Flush()
-	if !q.Empty() || q.Len() != 0 {
-		t.Error("flush left elements")
+	q.Reset()
+	if q.Len() != 0 || q.Front() != nil {
+		t.Error("reset left elements")
 	}
-	// Usable after flush.
-	q.Push(99)
-	if v, _ := q.Pop(); v != 99 {
-		t.Error("queue broken after flush")
+	// Usable after reset.
+	push(q, 99)
+	if v, _ := pop(q); v != 99 {
+		t.Error("queue broken after reset")
 	}
 }
 
 func TestAt(t *testing.T) {
 	q := New[int](4)
-	q.Push(10)
-	q.Push(20)
-	q.Pop()
-	q.Push(30)
-	if v, ok := q.At(0); !ok || v != 20 {
-		t.Errorf("At(0) = %d,%v", v, ok)
+	push(q, 10)
+	push(q, 20)
+	pop(q)
+	push(q, 30)
+	if s := q.Slot(0); s == nil || *s != 20 {
+		t.Errorf("Slot(0) = %v", s)
 	}
-	if v, ok := q.At(1); !ok || v != 30 {
-		t.Errorf("At(1) = %d,%v", v, ok)
+	if s := q.Slot(1); s == nil || *s != 30 {
+		t.Errorf("Slot(1) = %v", s)
 	}
-	if _, ok := q.At(2); ok {
-		t.Error("At past end")
+	if q.Slot(2) != nil {
+		t.Error("Slot past end")
 	}
-	if _, ok := q.At(-1); ok {
-		t.Error("At(-1)")
+	if q.Slot(-1) != nil {
+		t.Error("Slot(-1)")
+	}
+}
+
+func TestClone(t *testing.T) {
+	q := New[[]int](3)
+	*q.Reserve() = []int{1}
+	*q.Reserve() = []int{2}
+	q.Drop()
+	*q.Reserve() = []int{3}
+	n := q.Clone(func(s *[]int) []int { return append([]int(nil), *s...) })
+	if n.Len() != 2 || (*n.Slot(0))[0] != 2 || (*n.Slot(1))[0] != 3 {
+		t.Fatalf("clone live elements wrong: len %d", n.Len())
+	}
+	(*n.Slot(0))[0] = 9
+	if (*q.Slot(0))[0] != 2 {
+		t.Error("clone shares element storage with the original")
+	}
+	if s := n.Reserve(); *s != nil {
+		t.Error("clone's free slot is not zeroed")
 	}
 }
 
@@ -99,8 +165,8 @@ func TestMinCapacity(t *testing.T) {
 	if q.Cap() != 1 {
 		t.Errorf("cap = %d", q.Cap())
 	}
-	q.Push(1)
-	if q.Push(2) {
+	push(q, 1)
+	if push(q, 2) {
 		t.Error("capacity-1 queue accepted two")
 	}
 }

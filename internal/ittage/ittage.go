@@ -4,13 +4,17 @@
 // partially-tagged tables indexed by geometrically longer global path
 // history; entries store full targets plus a confidence counter.
 //
-// The front-end pushes one path-history bit per executed taken branch
-// via PushHistory, so the predictor can distinguish target rotations by
-// the control-flow path (and by its own previous targets, whose bits
-// enter the same history). Wrong-path lookups use Predict only.
+// The front-end pushes two path-history bits per taken branch (SpecPush
+// at prediction, ArchPush at decode), so the predictor can distinguish
+// target rotations by the control-flow path (and by its own previous
+// targets, whose bits enter the same history). Wrong-path lookups use
+// Predict only.
 package ittage
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -36,6 +40,20 @@ func DefaultConfig() Config {
 		MinHist:   4,
 		MaxHist:   120,
 	}
+}
+
+// Validate rejects geometries the predictor cannot index: Prediction
+// holds 16 tables, and a fold needs nonzero widths and history lengths.
+func (c Config) Validate() error {
+	switch {
+	case c.NumTables < 1 || c.NumTables > len(Prediction{}.indices):
+		return errors.New("ittage: NumTables must be in [1, 16]")
+	case c.LogTagged < 1 || c.TagBits < 1:
+		return errors.New("ittage: LogTagged and TagBits must be at least 1")
+	case c.MinHist < 1 || c.MinHist > c.MaxHist:
+		return errors.New("ittage: history lengths need 1 <= MinHist <= MaxHist")
+	}
+	return nil
 }
 
 // StorageBits returns the approximate hardware budget in bits.
@@ -68,76 +86,46 @@ type taggedEntry struct {
 	valid  bool
 }
 
-type folded struct {
-	comp     uint64
-	compLen  uint
-	outPoint uint
-}
-
-func newFolded(origLen, compLen int) folded {
-	return folded{compLen: uint(compLen), outPoint: uint(origLen % compLen)}
-}
-
-func (f *folded) update(youngest, oldest uint64) {
-	f.comp = (f.comp << 1) | youngest
-	f.comp ^= oldest << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= (1 << f.compLen) - 1
-}
-
-type history struct {
-	bits []uint64
-	ptr  int
-	mask int
-}
-
-func newHistory(n int) *history {
-	words := 1
-	for words*64 < n {
-		words *= 2
-	}
-	return &history{bits: make([]uint64, words), mask: words*64 - 1}
-}
-
-func (h *history) bit(k int) uint64 {
-	idx := (h.ptr - k) & h.mask
-	return (h.bits[idx/64] >> (uint(idx) % 64)) & 1
-}
-
-func (h *history) push(b uint64) {
-	h.ptr = (h.ptr + 1) & h.mask
-	word, off := h.ptr/64, uint(h.ptr)%64
-	h.bits[word] = (h.bits[word] &^ (1 << off)) | (b << off)
-}
-
 type table struct {
 	entries []taggedEntry
 	histLen int
 }
 
-// histState is one complete path-history state (bits plus per-table
-// folded registers). The predictor keeps a speculative state advanced
-// with predicted targets at prediction time and an architectural state
-// advanced with true targets at decode; SyncSpec repairs the former
-// from the latter after a re-steer.
-type histState struct {
-	ghist *history
-	folds [][2]folded // per table: index, tag
-}
+// histState is one path history: a shift register of raw path bits,
+// the youngest at bit 0 of word 0, long enough for MaxHist. The
+// predictor keeps a speculative state advanced with predicted targets
+// at prediction time and an architectural state advanced with true
+// targets at decode; SyncSpec repairs the former from the latter after
+// a re-steer. Tables read it only through fold, at Predict: pushes
+// outnumber predictions by two orders of magnitude, so keeping
+// Seznec's per-table folded registers current on every push would
+// spend nearly all the history work on values nothing reads.
+type histState []uint64
 
-func (h *histState) push(b uint64, tables []table) {
-	for i := range tables {
-		oldest := h.ghist.bit(tables[i].histLen - 1)
-		h.folds[i][0].update(b, oldest)
-		h.folds[i][1].update(b, oldest)
+// push shifts in one taken branch's two path bits, b2 the youngest.
+func (h histState) push(b1, b2 uint64) {
+	for i := len(h) - 1; i > 0; i-- {
+		h[i] = h[i]<<2 | h[i-1]>>62
 	}
-	h.ghist.push(b)
+	h[0] = h[0]<<2 | b1<<1 | b2
 }
 
-func (h *histState) copyFrom(src *histState) {
-	copy(h.ghist.bits, src.ghist.bits)
-	h.ghist.ptr = src.ghist.ptr
-	copy(h.folds, src.folds)
+// fold compresses the youngest n bits to width bits: the XOR of
+// consecutive width-bit chunks, youngest chunk first. This equals, bit
+// for bit, the circular folded register of length n and width width
+// that Seznec's TAGE updates on every push.
+func (h histState) fold(n, width int) uint32 {
+	var r uint64
+	for off := 0; off < n; off += width {
+		w := min(width, n-off)
+		i, sh := off/64, uint(off%64)
+		chunk := h[i] >> sh
+		if sh+uint(w) > 64 {
+			chunk |= h[i+1] << (64 - sh)
+		}
+		r ^= chunk & (1<<uint(w) - 1)
+	}
+	return uint32(r)
 }
 
 // Prediction carries provider bookkeeping from Predict to Update.
@@ -163,15 +151,19 @@ type Predictor struct {
 	stats  Stats
 }
 
-// New builds a predictor from cfg.
+// New builds a predictor from cfg. It panics on a geometry Validate
+// rejects; frontend.New validates first and reports the error.
 func New(cfg Config) *Predictor {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	p := &Predictor{
 		cfg:  cfg,
 		base: make([]baseEntry, 1<<cfg.LogBase),
 	}
 	p.tables = make([]table, cfg.NumTables)
-	p.spec = histState{ghist: newHistory(cfg.MaxHist + 64), folds: make([][2]folded, cfg.NumTables)}
-	p.arch = histState{ghist: newHistory(cfg.MaxHist + 64), folds: make([][2]folded, cfg.NumTables)}
+	p.spec = make(histState, (cfg.MaxHist+2+63)/64)
+	p.arch = make(histState, len(p.spec))
 	for i := range p.tables {
 		var l int
 		if cfg.NumTables == 1 {
@@ -184,29 +176,8 @@ func New(cfg Config) *Predictor {
 			entries: make([]taggedEntry, 1<<cfg.LogTagged),
 			histLen: l,
 		}
-		fs := [2]folded{newFolded(l, cfg.LogTagged), newFolded(l, cfg.TagBits)}
-		p.spec.folds[i] = fs
-		p.arch.folds[i] = fs
 	}
 	return p
-}
-
-// clone returns an independent deep copy of one history state.
-func (h *histState) clone() histState {
-	c := histState{}
-	if h.ghist != nil {
-		c.ghist = &history{
-			bits: make([]uint64, len(h.ghist.bits)),
-			ptr:  h.ghist.ptr,
-			mask: h.ghist.mask,
-		}
-		copy(c.ghist.bits, h.ghist.bits)
-	}
-	if h.folds != nil {
-		c.folds = make([][2]folded, len(h.folds))
-		copy(c.folds, h.folds)
-	}
-	return c
 }
 
 // Clone returns an independent deep copy of the predictor: same table
@@ -216,8 +187,8 @@ func (p *Predictor) Clone() *Predictor {
 		cfg:    p.cfg,
 		base:   make([]baseEntry, len(p.base)),
 		tables: make([]table, len(p.tables)),
-		spec:   p.spec.clone(),
-		arch:   p.arch.clone(),
+		spec:   append(histState(nil), p.spec...),
+		arch:   append(histState(nil), p.arch...),
 		stats:  p.stats,
 	}
 	copy(n.base, p.base)
@@ -230,12 +201,12 @@ func (p *Predictor) Clone() *Predictor {
 
 func (p *Predictor) index(i int, pc uint64) uint32 {
 	mask := uint32(1<<p.cfg.LogTagged) - 1
-	return (uint32(pc) ^ uint32(pc>>uint(p.cfg.LogTagged)) ^ uint32(p.spec.folds[i][0].comp)) & mask
+	return (uint32(pc) ^ uint32(pc>>uint(p.cfg.LogTagged)) ^ p.spec.fold(p.tables[i].histLen, p.cfg.LogTagged)) & mask
 }
 
 func (p *Predictor) tag(i int, pc uint64) uint32 {
 	mask := uint32(1<<p.cfg.TagBits) - 1
-	return (uint32(pc>>2) ^ uint32(p.spec.folds[i][1].comp)) & mask
+	return (uint32(pc>>2) ^ p.spec.fold(p.tables[i].histLen, p.cfg.TagBits)) & mask
 }
 
 // Predict returns the target prediction for the indirect branch at pc
@@ -266,7 +237,7 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 
 // Update trains the predictor with the actual target and pushes nothing
 // into history (the front-end pushes history for every taken branch via
-// PushHistory, keeping one global ordering).
+// SpecPush and ArchPush, keeping one global ordering).
 func (p *Predictor) Update(pc uint64, pred Prediction, actual uint64) {
 	p.stats.Predicts++
 	correct := pred.Valid && pred.Target == actual
@@ -344,22 +315,18 @@ func pathBits(pc, target uint64) (uint64, uint64) {
 // SpecPush records a *predicted* taken branch (any class) into the
 // speculative path history at prediction time.
 func (p *Predictor) SpecPush(pc, target uint64) {
-	b1, b2 := pathBits(pc, target)
-	p.spec.push(b1, p.tables)
-	p.spec.push(b2, p.tables)
+	p.spec.push(pathBits(pc, target))
 }
 
 // ArchPush records a *true* taken branch into the architectural path
 // history at decode.
 func (p *Predictor) ArchPush(pc, target uint64) {
-	b1, b2 := pathBits(pc, target)
-	p.arch.push(b1, p.tables)
-	p.arch.push(b2, p.tables)
+	p.arch.push(pathBits(pc, target))
 }
 
 // SyncSpec repairs the speculative history from the architectural one
 // after a re-steer.
-func (p *Predictor) SyncSpec() { p.spec.copyFrom(&p.arch) }
+func (p *Predictor) SyncSpec() { copy(p.spec, p.arch) }
 
 // Stats returns accumulated counts.
 func (p *Predictor) Stats() Stats { return p.stats }

@@ -14,7 +14,10 @@
 // change). Global history therefore always reflects the true path.
 package tage
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -48,6 +51,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects geometries the predictor cannot index: Prediction
+// holds 16 tables, the second tag fold is TagBits-1 wide, and a fold
+// needs nonzero widths and history lengths.
+func (c Config) Validate() error {
+	switch {
+	case c.NumTables < 1 || c.NumTables > len(Prediction{}.indices):
+		return errors.New("tage: NumTables must be in [1, 16]")
+	case c.LogTagged < 1 || c.TagBits < 2:
+		return errors.New("tage: LogTagged must be at least 1 and TagBits at least 2")
+	case c.MinHist < 1 || c.MinHist > c.MaxHist:
+		return errors.New("tage: history lengths need 1 <= MinHist <= MaxHist")
+	}
+	return nil
+}
+
 // StorageBits returns the approximate hardware budget in bits.
 func (c Config) StorageBits() int {
 	bits := (1 << c.LogBase) * 2
@@ -79,7 +97,12 @@ type taggedEntry struct {
 }
 
 // folded is a Seznec cyclic-shift-register folding of the most recent
-// origLen history bits into compLen bits.
+// origLen history bits into compLen bits. TAGE keeps the registers
+// current on every push because it reads them about as often as it
+// pushes: each identified conditional is predicted and pushed once
+// (4.8M predicts against 4.8M speculative pushes over the exact Fig 14
+// sweep of voter, kafka, dotty and finagle-chirper). ITTAGE, which
+// predicts far less often than it pushes, folds at Predict instead.
 type folded struct {
 	comp     uint64
 	compLen  uint
@@ -215,8 +238,12 @@ type Predictor struct {
 	stats  Stats
 }
 
-// New builds a predictor from cfg.
+// New builds a predictor from cfg. It panics on a geometry Validate
+// rejects; frontend.New validates first and reports the error.
 func New(cfg Config) *Predictor {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	p := &Predictor{
 		cfg:  cfg,
 		base: make([]int8, 1<<cfg.LogBase),

@@ -188,54 +188,55 @@ func TestStorageBits(t *testing.T) {
 	}
 }
 
+// directFold is the folded register's defining value: the XOR over
+// ages i < origLen of history bit i (0 = newest) shifted to position
+// i mod compLen. window holds the pushed bits, oldest first; bits
+// before the first push are zero.
+func directFold(window []uint64, origLen, compLen int) uint64 {
+	var r uint64
+	for i := 0; i < origLen && i < len(window); i++ {
+		r ^= window[len(window)-1-i] << (i % compLen)
+	}
+	return r
+}
+
+// TestFoldedHistoryEquivalence checks, after every push, that each
+// folded register equals the direct fold of its history window: for
+// standalone registers covering origLen < compLen, origLen a multiple
+// of compLen, and the general case, and for every register of
+// predictors built with the TAGE and the ITTAGE default geometries.
 func TestFoldedHistoryEquivalence(t *testing.T) {
-	// The folded register must equal the direct fold of the history
-	// window at all times.
-	h := newHistory(256)
-	const origLen, compLen = 23, 7
-	f := newFolded(origLen, compLen)
+	it := DefaultConfig()
+	it.NumTables, it.LogTagged, it.TagBits, it.MinHist, it.MaxHist = 6, 9, 11, 4, 120
+	preds := map[string]*Predictor{"tage-default": New(DefaultConfig()), "ittage-default": New(it)}
+	pairs := [][2]int{{5, 11}, {22, 11}, {33, 11}, {23, 7}, {1, 1}, {64, 9}, {160, 11}}
+	hs := make([]*history, len(pairs))
+	fs := make([]folded, len(pairs))
+	for i, pr := range pairs {
+		hs[i], fs[i] = newHistory(256), newFolded(pr[0], pr[1])
+	}
 	rng := rand.New(rand.NewSource(11))
 	var window []uint64
 	for step := 0; step < 2000; step++ {
 		b := uint64(rng.Intn(2))
-		oldest := uint64(0)
-		if len(window) >= origLen {
-			oldest = window[len(window)-origLen]
-		} else {
-			oldest = h.bit(origLen - 1) // zeros before warmup
-		}
-		f.update(b, oldest)
-		h.push(b)
 		window = append(window, b)
-
-		// Direct computation: fold the last origLen bits.
-		var direct uint64
-		for i := 0; i < origLen; i++ {
-			var bit uint64
-			if i < len(window) {
-				bit = window[len(window)-1-i]
+		for i, pr := range pairs {
+			fs[i].update(b, hs[i].bit(pr[0]-1))
+			hs[i].push(b)
+			if want := directFold(window, pr[0], pr[1]); fs[i].comp != want {
+				t.Fatalf("step %d, origLen %d compLen %d: register %#x, direct fold %#x", step, pr[0], pr[1], fs[i].comp, want)
 			}
-			// bit i (0 = newest) contributes at position
-			// (origLen-1-i) mod compLen... — replicate the register's
-			// shift semantics instead: rebuild by replay.
-			_ = bit
-			_ = direct
 		}
-		// Rebuild by replaying into a fresh register; must match.
-		f2 := newFolded(origLen, compLen)
-		var replay []uint64
-		if len(window) > 512 {
-			t.Skip("window bounded for test speed")
-		}
-		replay = window
-		h2 := newHistory(256)
-		for _, rb := range replay {
-			old := h2.bit(origLen - 1)
-			f2.update(rb, old)
-			h2.push(rb)
-		}
-		if f2.comp != f.comp {
-			t.Fatalf("step %d: folded register diverged: %#x vs %#x", step, f.comp, f2.comp)
+		for name, p := range preds {
+			p.SpecPush(b == 1, uint64(step)*4)
+			for ti, tb := range p.tables {
+				for k, f := range p.spec.folds[ti] {
+					if want := directFold(window, tb.histLen, int(f.compLen)); f.comp != want {
+						t.Fatalf("%s step %d, table %d fold %d (origLen %d compLen %d): register %#x, direct fold %#x",
+							name, step, ti, k, tb.histLen, f.compLen, f.comp, want)
+					}
+				}
+			}
 		}
 	}
 }
