@@ -21,6 +21,8 @@
 // the same bytes again.
 package core
 
+import "repro/internal/program"
+
 // regionKind distinguishes head from tail entries under one key space.
 type regionKind uint8
 
@@ -53,11 +55,17 @@ type cachedDecode struct {
 // line is entered from only a handful of distinct offsets (its
 // basic-block entry points and post-branch tail starts), so a short
 // chain walk beats a nested map, and a miss allocates only when an
-// arena or the map grows. It is not safe for concurrent use; each
-// simulated core owns its own instance (mirroring how each core owns
-// its SBD).
+// arena or the line index grows. It is not safe for concurrent use;
+// each simulated core owns its own instance (mirroring how each core
+// owns its SBD).
 type DecodeCache struct {
-	lines    map[uint64]int32 // line address → index of its newest entry
+	// lines is a dense index over the span of recorded lines: slot
+	// lineAddr/LineSize - first holds 1 + the index of that line's
+	// newest entry, 0 when it has none. The front end decodes only
+	// program-image lines, so the span is bounded by the image. It
+	// grows on demand and rebases when a line below first arrives.
+	lines    []int32
+	first    uint64
 	entries  []cachedDecode
 	branches []ShadowBranch
 	stats    DecodeCacheStats
@@ -65,22 +73,19 @@ type DecodeCache struct {
 
 // NewDecodeCache builds an empty memo.
 func NewDecodeCache() *DecodeCache {
-	return &DecodeCache{lines: make(map[uint64]int32)}
+	return &DecodeCache{}
 }
 
 // Clone returns an independent deep copy of the memo: same memoized
 // decodes and statistics.
 func (c *DecodeCache) Clone() *DecodeCache {
-	n := &DecodeCache{
-		lines:    make(map[uint64]int32, len(c.lines)),
+	return &DecodeCache{
+		lines:    append([]int32(nil), c.lines...),
+		first:    c.first,
 		entries:  append([]cachedDecode(nil), c.entries...),
 		branches: append([]ShadowBranch(nil), c.branches...),
 		stats:    c.stats,
 	}
-	for addr, i := range c.lines {
-		n.lines[addr] = i
-	}
-	return n
 }
 
 // Stats returns accumulated lookup counters.
@@ -89,18 +94,25 @@ func (c *DecodeCache) Stats() DecodeCacheStats { return c.stats }
 // Len returns the number of memoized regions.
 func (c *DecodeCache) Len() int { return len(c.entries) }
 
+// head returns the index of the newest entry memoized for the line at
+// lineAddr, -1 when there is none.
+func (c *DecodeCache) head(lineAddr uint64) int32 {
+	if i := lineAddr/program.LineSize - c.first; i < uint64(len(c.lines)) {
+		return c.lines[i] - 1
+	}
+	return -1
+}
+
 // lookup finds the memoized decode for (lineAddr, off, kind) and its
 // branches.
 //
 //skia:noalloc
 func (c *DecodeCache) lookup(lineAddr uint64, off int, kind regionKind) (*cachedDecode, []ShadowBranch, bool) {
-	if i, ok := c.lines[lineAddr]; ok {
-		for ; i >= 0; i = c.entries[i].next {
-			e := &c.entries[i]
-			if e.off == int32(off) && e.kind == kind {
-				c.stats.Hits++
-				return e, c.branches[e.lo:e.hi], true
-			}
+	for i := c.head(lineAddr); i >= 0; i = c.entries[i].next {
+		e := &c.entries[i]
+		if e.off == int32(off) && e.kind == kind {
+			c.stats.Hits++
+			return e, c.branches[e.lo:e.hi], true
 		}
 	}
 	c.stats.Misses++
@@ -111,13 +123,22 @@ func (c *DecodeCache) lookup(lineAddr uint64, off int, kind regionKind) (*cached
 // branches are copied into the arena: callers hand in a view of their
 // scratch buffer.
 func (c *DecodeCache) record(lineAddr uint64, off int, kind regionKind, branches []ShadowBranch, nFamilies int, noValid, discarded bool) {
-	next, ok := c.lines[lineAddr]
-	if !ok {
-		next = -1
+	ln := lineAddr / program.LineSize
+	if len(c.lines) == 0 {
+		c.first = ln
+	} else if ln < c.first {
+		lines := make([]int32, c.first-ln+uint64(len(c.lines)))
+		copy(lines[c.first-ln:], c.lines)
+		c.lines, c.first = lines, ln
 	}
+	slot := ln - c.first
+	if slot >= uint64(len(c.lines)) {
+		c.lines = append(c.lines, make([]int32, slot+1-uint64(len(c.lines)))...)
+	}
+	next := c.lines[slot] - 1
 	lo := len(c.branches)
 	c.branches = append(c.branches, branches...)
-	c.lines[lineAddr] = int32(len(c.entries))
+	c.lines[slot] = int32(len(c.entries)) + 1
 	c.entries = append(c.entries, cachedDecode{
 		next:      next,
 		off:       int32(off),

@@ -87,3 +87,77 @@ func sameBranches(a, b []ShadowBranch) bool {
 	}
 	return true
 }
+
+// TestDecodeCacheRebase records regions at ascending line addresses,
+// then at lower ones, each of which moves the base of the dense line
+// index, and requires every earlier region to still hit with the
+// branches a fresh decode gives. A clone taken after the rebase must
+// stay independent: a region recorded in either copy — one that
+// rebases the clone's index, one that grows the original's, one on a
+// line both copies hold — misses in the other.
+func TestDecodeCacheRebase(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	fresh := NewSBD(DefaultSBDConfig())
+	type region struct {
+		la   uint64
+		off  int
+		line []byte
+	}
+	decode := func(s *SBD, r region) (head, tail []ShadowBranch) {
+		return s.DecodeHead(r.line, r.la, r.off, nil), s.DecodeTail(r.line, r.la, r.off, nil)
+	}
+	missAll := func(s *SBD, r region, when string) {
+		t.Helper()
+		before := s.cache.Stats()
+		decode(s, r)
+		if got := s.cache.Stats(); got.Misses != before.Misses+2 {
+			t.Fatalf("%s: line %#x offset %d: memo stats %+v -> %+v, want two misses", when, r.la, r.off, before, got)
+		}
+	}
+	recordAt := func(s *SBD, la uint64, off int) region {
+		t.Helper()
+		r := region{la, off, randLine(rng)}
+		missAll(s, r, "first decode")
+		return r
+	}
+	record := func(s *SBD, la uint64) region {
+		t.Helper()
+		return recordAt(s, la, 1+rng.Intn(program.LineSize-1))
+	}
+	hitAll := func(s *SBD, rs []region, when string) {
+		t.Helper()
+		for _, r := range rs {
+			before := s.cache.Stats()
+			h, tl := decode(s, r)
+			if got := s.cache.Stats(); got.Hits != before.Hits+2 {
+				t.Fatalf("%s: line %#x offset %d: memo stats %+v -> %+v, want two hits", when, r.la, r.off, before, got)
+			}
+			if wh, wt := decode(fresh, r); !sameBranches(h, wh) || !sameBranches(tl, wt) {
+				t.Fatalf("%s: line %#x offset %d: memoized %v / %v, fresh %v / %v", when, r.la, r.off, h, tl, wh, wt)
+			}
+		}
+	}
+
+	const base = 0x40_0000
+	orig := NewSBD(DefaultSBDConfig())
+	orig.AttachCache(NewDecodeCache())
+	var regions []region
+	for k := uint64(0); k < 8; k++ {
+		regions = append(regions, record(orig, base+3*k*program.LineSize))
+	}
+	for k := uint64(1); k <= 4; k++ {
+		regions = append(regions, record(orig, base-5*k*program.LineSize))
+	}
+	hitAll(orig, regions, "after rebasing")
+
+	clone := NewSBD(DefaultSBDConfig())
+	clone.AttachCache(orig.cache.Clone())
+	shared := recordAt(orig, regions[0].la, regions[0].off%(program.LineSize-1)+1)
+	higher := record(orig, base+100*program.LineSize)
+	lower := record(clone, base-100*program.LineSize)
+	hitAll(orig, append(regions[:len(regions):len(regions)], higher, shared), "original after Clone")
+	hitAll(clone, append(regions[:len(regions):len(regions)], lower), "clone")
+	missAll(orig, lower, "original decoding the clone's region")
+	missAll(clone, higher, "clone decoding the original's region")
+	missAll(clone, shared, "clone decoding the original's region on a shared line")
+}

@@ -62,7 +62,7 @@ func decodeCacheCheckInvariants(c *DecodeCache, lineAddr uint64) {
 		kind regionKind
 	}
 	seen := make(map[region]bool)
-	for i, prev := c.lines[lineAddr], int32(len(c.entries)); i >= 0; prev, i = i, c.entries[i].next {
+	for i, prev := c.head(lineAddr), int32(len(c.entries)); i >= 0; prev, i = i, c.entries[i].next {
 		if i >= prev {
 			panic(fmt.Sprintf("skiainvariants: decode cache line %#x chain index %d not older than %d", lineAddr, i, prev))
 		}

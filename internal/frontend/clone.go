@@ -69,7 +69,8 @@ func (f *FrontEnd) Clone() *FrontEnd {
 		done:       f.done,
 		err:        f.err,
 
-		stats: f.stats,
+		sbdDue: f.sbdDue,
+		stats:  f.stats,
 	}
 	if f.sbdTasks != nil {
 		n.sbdTasks = make([]sbdTask, len(f.sbdTasks))
@@ -116,7 +117,7 @@ func (f *FrontEnd) FastForward(n uint64) uint64 {
 	f.hasRedir = false
 	f.iagStallTill = 0
 	f.idleStreak = 0
-	f.sbdTasks = f.sbdTasks[:0]
+	f.clearSBD()
 
 	var skipped uint64
 	if f.hasPending && n > 0 {
@@ -165,7 +166,7 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	f.hasRedir = false
 	f.iagStallTill = 0
 	f.idleStreak = 0
-	f.sbdTasks = f.sbdTasks[:0]
+	f.clearSBD()
 
 	var skipped uint64
 	if f.hasPending && n > 0 {

@@ -83,7 +83,8 @@ func TestWarmDecodesShareDecodeCache(t *testing.T) {
 	before := dc.Stats()
 
 	f.l1i.Prefetch(la)
-	f.sbdTasks = append(f.sbdTasks[:0], sbdTask{atCycle: f.cycle, head: true, lineAddr: la, off: off})
+	f.clearSBD()
+	f.queueSBD(sbdTask{atCycle: f.cycle, head: true, lineAddr: la, off: off})
 	f.runSBDTasks()
 
 	after := dc.Stats()

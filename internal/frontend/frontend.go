@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/attrib"
@@ -145,6 +146,9 @@ type FrontEnd struct {
 	//skia:shared-ok transient scratch: fully overwritten before every use, never holds state across cycles
 	scratch  []core.ShadowBranch
 	sbdTasks []sbdTask
+	// sbdDue is the earliest atCycle among sbdTasks (MaxUint64 when
+	// none is pending), so cycles with no due task skip the scan.
+	sbdDue uint64
 	// extraOffs registers SBB-inserted PCs that are not static branch
 	// starts as probe candidates: one bit per byte offset in the line
 	// (LineSize = 64). Bits are cleared through the SBB's OnRemove hook
@@ -209,6 +213,7 @@ func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 		specPC:    w.Prog.Entry,
 		entryTgt:  true,
 		extraOffs: make(map[uint64]uint64),
+		sbdDue:    math.MaxUint64,
 	}
 	if cfg.Skia {
 		f.sbd = core.NewSBD(cfg.SBD)
@@ -648,7 +653,7 @@ scan:
 		lat := uint64(f.cfg.SBD.Latency)
 		if blk.EntryIsTarget {
 			if off := program.LineOffset(blk.Start); off > 0 {
-				f.sbdTasks = append(f.sbdTasks, sbdTask{
+				f.queueSBD(sbdTask{
 					atCycle: blk.ReadyAt + lat, head: true,
 					lineAddr: program.LineAddr(blk.Start), off: off,
 				})
@@ -657,7 +662,7 @@ scan:
 		if blk.TakenPred {
 			tailStart := blk.End // first byte after the exiting branch
 			if off := program.LineOffset(tailStart); off != 0 {
-				f.sbdTasks = append(f.sbdTasks, sbdTask{
+				f.queueSBD(sbdTask{
 					atCycle: blk.ReadyAt + lat, head: false,
 					lineAddr: program.LineAddr(tailStart), off: off,
 				})
@@ -720,15 +725,35 @@ func (f *FrontEnd) terminateViaBTB(blk *Block, pc uint64, e btb.Entry) bool {
 	return true
 }
 
-// runSBDTasks executes shadow decodes whose latency has elapsed and
-// whose line is still L1-I resident, inserting results into the SBB.
+// queueSBD schedules a shadow decode.
+//
+//skia:noalloc
+func (f *FrontEnd) queueSBD(t sbdTask) {
+	f.sbdTasks = append(f.sbdTasks, t)
+	f.sbdDue = min(f.sbdDue, t.atCycle)
+}
+
+// clearSBD drops every queued shadow decode.
+func (f *FrontEnd) clearSBD() {
+	f.sbdTasks = f.sbdTasks[:0]
+	f.sbdDue = math.MaxUint64
+}
+
+// runSBDTasks executes, in queue order, shadow decodes whose latency
+// has elapsed and whose line is still L1-I resident, inserting results
+// into the SBB.
 //
 //skia:noalloc
 func (f *FrontEnd) runSBDTasks() {
+	if f.cycle < f.sbdDue {
+		return
+	}
 	kept := f.sbdTasks[:0]
+	f.sbdDue = math.MaxUint64
 	for _, t := range f.sbdTasks {
 		if t.atCycle > f.cycle {
 			kept = append(kept, t)
+			f.sbdDue = min(f.sbdDue, t.atCycle)
 			continue
 		}
 		if !f.l1i.Contains(t.lineAddr) {

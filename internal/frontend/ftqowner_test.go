@@ -99,6 +99,8 @@ func TestNewRejectsBadPredictorConfigs(t *testing.T) {
 		{"tage NumTables 17", func(c *tage.Config) { c.NumTables = 17 }, nil},
 		{"tage LogTagged 0", func(c *tage.Config) { c.LogTagged = 0 }, nil},
 		{"tage TagBits 1", func(c *tage.Config) { c.TagBits = 1 }, nil},
+		{"tage LogTagged 17", func(c *tage.Config) { c.LogTagged = 17 }, nil},
+		{"tage TagBits 17", func(c *tage.Config) { c.TagBits = 17 }, nil},
 		{"tage MinHist 0", func(c *tage.Config) { c.MinHist = 0 }, nil},
 		{"tage MinHist > MaxHist", func(c *tage.Config) { c.MinHist, c.MaxHist = 40, 20 }, nil},
 		{"ittage NumTables 0", nil, func(c *ittage.Config) { c.NumTables = 0 }},
@@ -131,5 +133,9 @@ func TestNewRejectsBadPredictorConfigs(t *testing.T) {
 	cfg.ITTAGE.NumTables, cfg.ITTAGE.TagBits, cfg.ITTAGE.LogTagged, cfg.ITTAGE.MinHist = 1, 1, 1, 1
 	if _, err := New(cfg, w); err != nil {
 		t.Errorf("boundary geometry rejected: %v", err)
+	}
+	cfg.TAGE.LogTagged, cfg.TAGE.TagBits = 16, 16
+	if _, err := New(cfg, w); err != nil {
+		t.Errorf("16-bit TAGE index and tag rejected: %v", err)
 	}
 }

@@ -52,14 +52,16 @@ func DefaultConfig() Config {
 }
 
 // Validate rejects geometries the predictor cannot index: Prediction
-// holds 16 tables, the second tag fold is TagBits-1 wide, and a fold
-// needs nonzero widths and history lengths.
+// holds 16 tables with 16-bit indices and tags, the second tag fold is
+// TagBits-1 wide, and a fold needs nonzero widths and history lengths.
 func (c Config) Validate() error {
 	switch {
 	case c.NumTables < 1 || c.NumTables > len(Prediction{}.indices):
 		return errors.New("tage: NumTables must be in [1, 16]")
 	case c.LogTagged < 1 || c.TagBits < 2:
 		return errors.New("tage: LogTagged must be at least 1 and TagBits at least 2")
+	case c.LogTagged > 16 || c.TagBits > 16:
+		return errors.New("tage: LogTagged and TagBits must be at most 16")
 	case c.MinHist < 1 || c.MinHist > c.MaxHist:
 		return errors.New("tage: history lengths need 1 <= MinHist <= MaxHist")
 	}
@@ -91,75 +93,36 @@ type Stats struct {
 }
 
 type taggedEntry struct {
-	ctr int8 // 3-bit signed saturating [-4,3]
-	tag uint32
+	tag uint16
+	ctr int8  // 3-bit signed saturating [-4,3]
 	u   uint8 // 2-bit usefulness
 }
 
-// folded is a Seznec cyclic-shift-register folding of the most recent
-// origLen history bits into compLen bits. TAGE keeps the registers
-// current on every push because it reads them about as often as it
-// pushes: each identified conditional is predicted and pushed once
-// (4.8M predicts against 4.8M speculative pushes over the exact Fig 14
-// sweep of voter, kafka, dotty and finagle-chirper). ITTAGE, which
-// predicts far less often than it pushes, folds at Predict instead.
-type folded struct {
-	comp     uint64
-	compLen  uint
-	origLen  uint
-	outPoint uint
+// foldGeom is the fixed geometry of one Seznec cyclic-shift-register
+// folding of the most recent histLen history bits into compLen bits:
+// where the bit leaving the window sits in the history (word, shift)
+// and where it re-enters the register (outPoint). TAGE keeps the
+// registers current on every push because it reads them about as often
+// as it pushes: each identified conditional is predicted and pushed
+// once (4.8M predicts against 4.8M speculative pushes over the exact
+// Fig 14 sweep of voter, kafka, dotty and finagle-chirper). ITTAGE,
+// which predicts far less often than it pushes, folds at Predict
+// instead.
+type foldGeom struct {
+	compLen, outPoint, shift uint8
+	mask                     uint32
+	word                     int
 }
 
-func newFolded(origLen, compLen int) folded {
-	return folded{
-		compLen:  uint(compLen),
-		origLen:  uint(origLen),
-		outPoint: uint(origLen % compLen),
-	}
-}
-
-// update incorporates a new youngest bit; oldest is the bit that leaves
-// the origLen window (the previously (origLen-1)-th most recent bit).
-func (f *folded) update(youngest, oldest uint64) {
-	f.comp = (f.comp << 1) | youngest
-	f.comp ^= oldest << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= (1 << f.compLen) - 1
-}
-
-// history is a circular global-history bit buffer.
-type history struct {
-	bits []uint64
-	ptr  int // index of most recent bit
-	mask int
-}
-
-func newHistory(n int) *history {
-	// Round up to a power of two of at least n bits.
-	words := 1
-	for words*64 < n {
-		words *= 2
-	}
-	return &history{bits: make([]uint64, words), mask: words*64 - 1}
-}
-
-// bit returns the k-th most recent bit (k=0 is newest).
-func (h *history) bit(k int) uint64 {
-	idx := (h.ptr - k) & h.mask
-	return (h.bits[idx/64] >> (uint(idx) % 64)) & 1
-}
-
-// push inserts a new most-recent bit.
-func (h *history) push(b uint64) {
-	h.ptr = (h.ptr + 1) & h.mask
-	word, off := h.ptr/64, uint(h.ptr)%64
-	h.bits[word] = (h.bits[word] &^ (1 << off)) | (b << off)
-}
-
-// table is one tagged component.
+// table is one tagged component. idx, tag and tag2 name its folded
+// registers: the index fold (LogTagged bits) and the two tag folds
+// (TagBits and TagBits-1 bits). Tables share a register when their
+// (histLen, compLen) coincide, as index and tag folds do when
+// LogTagged == TagBits.
 type table struct {
-	entries []taggedEntry
-	histLen int
+	entries        []taggedEntry
+	histLen        int
+	idx, tag, tag2 uint8
 }
 
 const (
@@ -178,50 +141,60 @@ type loopEntry struct {
 }
 
 // Prediction carries everything Update needs: the predicted direction
-// and the provider bookkeeping.
+// and the provider bookkeeping. The front end copies one per formed
+// block and per not-taken conditional, so it is kept to 76 bytes:
+// Validate caps LogTagged and TagBits at 16, which lets indices and
+// tags be 16-bit.
 type Prediction struct {
 	// Taken is the final predicted direction.
 	Taken bool
 
-	provider  int // -1 = bimodal
+	provider  int8 // -1 = bimodal
 	altTaken  bool
 	provTaken bool
-	indices   [16]uint32
-	tags      [16]uint32
+	indices   [16]uint16
+	tags      [16]uint16
 	baseIdx   uint32
 	loopHit   bool
 	loopTaken bool
 	scUsed    bool
 }
 
-// histState is one complete global-history state: the raw bit buffer,
-// the per-table folded registers derived from it, and the path history.
+// histState is one complete global-history state: a shift register
+// of raw outcome bits (youngest at bit 0 of word 0, ⌈MaxHist/64⌉
+// words), one folded register per foldGeom, and the path history.
 // The predictor keeps two: a speculative state updated with predicted
 // outcomes at prediction time (what the BPU indexes with), and an
 // architectural state updated with true outcomes at decode. A re-steer
 // copies arch over spec, modeling hardware history checkpointing.
 type histState struct {
-	ghist *history
+	ghist []uint64
+	folds []uint32
 	phist uint64
-	folds [][3]folded // per table: index, tag, tag2
 }
 
-func (h *histState) push(b uint64, pc uint64, tables []table) {
-	for i := range tables {
-		oldest := h.ghist.bit(tables[i].histLen - 1)
-		h.folds[i][0].update(b, oldest)
-		h.folds[i][1].update(b, oldest)
-		h.folds[i][2].update(b, oldest)
+// push shifts in b as the youngest outcome. Each register first takes
+// in b and drops the bit leaving its window, read before the shift.
+func (h *histState) push(b, pc uint64, geom []foldGeom) {
+	folds := h.folds[:len(geom)]
+	for i := range geom {
+		g := &geom[i]
+		c := folds[i]<<1 | uint32(b)
+		c ^= uint32(h.ghist[g.word]>>g.shift&1) << g.outPoint
+		c ^= c >> g.compLen
+		folds[i] = c & g.mask
 	}
-	h.ghist.push(b)
+	for i := len(h.ghist) - 1; i > 0; i-- {
+		h.ghist[i] = h.ghist[i]<<1 | h.ghist[i-1]>>63
+	}
+	h.ghist[0] = h.ghist[0]<<1 | b
 	h.phist = (h.phist << 1) | ((pc >> 2) & 1)
 }
 
 func (h *histState) copyFrom(src *histState) {
-	copy(h.ghist.bits, src.ghist.bits)
-	h.ghist.ptr = src.ghist.ptr
-	h.phist = src.phist
+	copy(h.ghist, src.ghist)
 	copy(h.folds, src.folds)
+	h.phist = src.phist
 }
 
 // Predictor is a TAGE-SC-L direction predictor. Not safe for concurrent
@@ -230,8 +203,9 @@ type Predictor struct {
 	cfg    Config
 	base   []int8 // 2-bit bimodal [-2,1]
 	tables []table
-	spec   histState // prediction-time history
-	arch   histState // decode-time (true-path) history
+	geom   []foldGeom // read-only; shared by spec, arch and clones
+	spec   histState  // prediction-time history
+	arch   histState  // decode-time (true-path) history
 	loop   []loopEntry
 	sc     []int8 // per-hash bias counters
 	useAlt int8   // USE_ALT_ON_NA counter
@@ -250,8 +224,6 @@ func New(cfg Config) *Predictor {
 	}
 	// Geometric history lengths between MinHist and MaxHist.
 	p.tables = make([]table, cfg.NumTables)
-	p.spec = histState{ghist: newHistory(cfg.MaxHist + 64), folds: make([][3]folded, cfg.NumTables)}
-	p.arch = histState{ghist: newHistory(cfg.MaxHist + 64), folds: make([][3]folded, cfg.NumTables)}
 	for i := range p.tables {
 		var l int
 		if cfg.NumTables == 1 {
@@ -263,15 +235,14 @@ func New(cfg Config) *Predictor {
 		p.tables[i] = table{
 			entries: make([]taggedEntry, 1<<cfg.LogTagged),
 			histLen: l,
+			idx:     p.fold(l, cfg.LogTagged),
+			tag:     p.fold(l, cfg.TagBits),
+			tag2:    p.fold(l, cfg.TagBits-1),
 		}
-		fs := [3]folded{
-			newFolded(l, cfg.LogTagged),
-			newFolded(l, cfg.TagBits),
-			newFolded(l, cfg.TagBits-1),
-		}
-		p.spec.folds[i] = fs
-		p.arch.folds[i] = fs
 	}
+	words := (cfg.MaxHist + 63) / 64
+	p.spec = histState{ghist: make([]uint64, words), folds: make([]uint32, len(p.geom))}
+	p.arch = histState{ghist: make([]uint64, words), folds: make([]uint32, len(p.geom))}
 	if cfg.UseLoop {
 		p.loop = make([]loopEntry, loopEntries)
 	}
@@ -281,22 +252,32 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// fold returns the register folding histLen bits into compLen bits,
+// adding it to the geometry unless a table already uses one.
+func (p *Predictor) fold(histLen, compLen int) uint8 {
+	g := foldGeom{
+		compLen:  uint8(compLen),
+		outPoint: uint8(histLen % compLen),
+		shift:    uint8((histLen - 1) % 64),
+		mask:     1<<compLen - 1,
+		word:     (histLen - 1) / 64,
+	}
+	for r := range p.geom {
+		if p.geom[r] == g {
+			return uint8(r)
+		}
+	}
+	p.geom = append(p.geom, g)
+	return uint8(len(p.geom) - 1)
+}
+
 // clone returns an independent deep copy of one history state.
 func (h *histState) clone() histState {
-	c := histState{phist: h.phist}
-	if h.ghist != nil {
-		c.ghist = &history{
-			bits: make([]uint64, len(h.ghist.bits)),
-			ptr:  h.ghist.ptr,
-			mask: h.ghist.mask,
-		}
-		copy(c.ghist.bits, h.ghist.bits)
+	return histState{
+		ghist: append([]uint64(nil), h.ghist...),
+		folds: append([]uint32(nil), h.folds...),
+		phist: h.phist,
 	}
-	if h.folds != nil {
-		c.folds = make([][3]folded, len(h.folds))
-		copy(c.folds, h.folds)
-	}
-	return c
 }
 
 // Clone returns an independent deep copy of the predictor: same table
@@ -306,6 +287,7 @@ func (p *Predictor) Clone() *Predictor {
 		cfg:    p.cfg,
 		base:   make([]int8, len(p.base)),
 		tables: make([]table, len(p.tables)),
+		geom:   p.geom,
 		spec:   p.spec.clone(),
 		arch:   p.arch.clone(),
 		loop:   make([]loopEntry, len(p.loop)),
@@ -317,22 +299,23 @@ func (p *Predictor) Clone() *Predictor {
 	copy(n.loop, p.loop)
 	copy(n.sc, p.sc)
 	for i, t := range p.tables {
-		n.tables[i] = table{entries: make([]taggedEntry, len(t.entries)), histLen: t.histLen}
-		copy(n.tables[i].entries, t.entries)
+		n.tables[i] = t
+		n.tables[i].entries = append([]taggedEntry(nil), t.entries...)
 	}
 	return n
 }
 
-func (p *Predictor) index(i int, pc uint64) uint32 {
+func (p *Predictor) index(i int, pc uint64) uint16 {
 	mask := uint32(1<<p.cfg.LogTagged) - 1
-	h := uint32(pc) ^ uint32(pc>>uint(p.cfg.LogTagged)) ^ uint32(p.spec.folds[i][0].comp) ^
+	h := uint32(pc) ^ uint32(pc>>uint(p.cfg.LogTagged)) ^ p.spec.folds[p.tables[i].idx] ^
 		uint32(p.spec.phist&((1<<16)-1))*uint32(i*2+1)
-	return h & mask
+	return uint16(h & mask)
 }
 
-func (p *Predictor) tag(i int, pc uint64) uint32 {
+func (p *Predictor) tag(i int, pc uint64) uint16 {
 	mask := uint32(1<<p.cfg.TagBits) - 1
-	return (uint32(pc) ^ uint32(p.spec.folds[i][1].comp) ^ (uint32(p.spec.folds[i][2].comp) << 1)) & mask
+	t := &p.tables[i]
+	return uint16((uint32(pc) ^ p.spec.folds[t.tag] ^ (p.spec.folds[t.tag2] << 1)) & mask)
 }
 
 func (p *Predictor) baseIndex(pc uint64) uint32 {
@@ -363,7 +346,7 @@ func (p *Predictor) Predict(pc uint64) Prediction {
 			}
 		}
 	}
-	pr.provider = prov
+	pr.provider = int8(prov)
 	altPred := basePred
 	if alt >= 0 {
 		altPred = p.tables[alt].entries[pr.indices[alt]].ctr >= 0
@@ -447,10 +430,10 @@ func (p *Predictor) Update(pc uint64, pred Prediction, taken bool) {
 		p.sc[scIdx] = satUpdate(p.sc[scIdx], taken, 63)
 	}
 
-	prov := pred.provider
+	prov := int(pred.provider)
 	if prov >= 0 {
 		pr := &p.tables[prov].entries[pred.indices[prov]]
-		if pred.provider >= 0 && int(prov) < len(p.stats.ProviderHits) {
+		if prov < len(p.stats.ProviderHits) {
 			p.stats.ProviderHits[prov]++
 		}
 		// Update usefulness when provider and alt disagree.
@@ -497,7 +480,7 @@ func (p *Predictor) SpecPush(taken bool, pc uint64) {
 	if taken {
 		b = 1
 	}
-	p.spec.push(b, pc, p.tables)
+	p.spec.push(b, pc, p.geom)
 }
 
 // ArchPush records a *true* conditional outcome into the architectural
@@ -507,7 +490,7 @@ func (p *Predictor) ArchPush(taken bool, pc uint64) {
 	if taken {
 		b = 1
 	}
-	p.arch.push(b, pc, p.tables)
+	p.arch.push(b, pc, p.geom)
 }
 
 // SyncSpec repairs the speculative history from the architectural one

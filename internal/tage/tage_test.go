@@ -204,36 +204,53 @@ func directFold(window []uint64, origLen, compLen int) uint64 {
 // folded register equals the direct fold of its history window: for
 // standalone registers covering origLen < compLen, origLen a multiple
 // of compLen, and the general case, and for every register of
-// predictors built with the TAGE and the ITTAGE default geometries.
+// predictors built with the TAGE and the ITTAGE default geometries, one
+// whose index fold shares the second tag fold's width, and one with no
+// widths in common. Registers with equal (histLen, compLen) are shared,
+// so the default geometry keeps two per table instead of three.
 func TestFoldedHistoryEquivalence(t *testing.T) {
 	it := DefaultConfig()
 	it.NumTables, it.LogTagged, it.TagBits, it.MinHist, it.MaxHist = 6, 9, 11, 4, 120
-	preds := map[string]*Predictor{"tage-default": New(DefaultConfig()), "ittage-default": New(it)}
-	pairs := [][2]int{{5, 11}, {22, 11}, {33, 11}, {23, 7}, {1, 1}, {64, 9}, {160, 11}}
-	hs := make([]*history, len(pairs))
-	fs := make([]folded, len(pairs))
-	for i, pr := range pairs {
-		hs[i], fs[i] = newHistory(256), newFolded(pr[0], pr[1])
+	tag2 := DefaultConfig()
+	tag2.LogTagged, tag2.TagBits = 10, 11
+	unshared := DefaultConfig()
+	unshared.NumTables, unshared.LogTagged, unshared.TagBits, unshared.MinHist, unshared.MaxHist = 12, 13, 7, 3, 200
+	preds := map[string]*Predictor{
+		"tage-default": New(DefaultConfig()), "ittage-default": New(it),
+		"index-shares-tag2": New(tag2), "unshared": New(unshared),
 	}
+	if n, want := len(preds["tage-default"].geom), 2*DefaultConfig().NumTables; n != want {
+		t.Errorf("default geometry keeps %d folded registers, want %d (index and tag folds shared)", n, want)
+	}
+	if n, want := len(preds["unshared"].geom), 3*unshared.NumTables; n != want {
+		t.Errorf("unshared geometry keeps %d folded registers, want %d", n, want)
+	}
+	pairs := [][2]int{{5, 11}, {22, 11}, {33, 11}, {23, 7}, {1, 1}, {64, 9}, {65, 9}, {160, 11}}
+	var standalone Predictor
+	regs := make([]uint8, len(pairs))
+	for i, pr := range pairs {
+		regs[i] = standalone.fold(pr[0], pr[1])
+	}
+	h := histState{ghist: make([]uint64, 3), folds: make([]uint32, len(standalone.geom))}
 	rng := rand.New(rand.NewSource(11))
 	var window []uint64
 	for step := 0; step < 2000; step++ {
 		b := uint64(rng.Intn(2))
 		window = append(window, b)
+		h.push(b, 0, standalone.geom)
 		for i, pr := range pairs {
-			fs[i].update(b, hs[i].bit(pr[0]-1))
-			hs[i].push(b)
-			if want := directFold(window, pr[0], pr[1]); fs[i].comp != want {
-				t.Fatalf("step %d, origLen %d compLen %d: register %#x, direct fold %#x", step, pr[0], pr[1], fs[i].comp, want)
+			if got, want := h.folds[regs[i]], directFold(window, pr[0], pr[1]); uint64(got) != want {
+				t.Fatalf("step %d, origLen %d compLen %d: register %#x, direct fold %#x", step, pr[0], pr[1], got, want)
 			}
 		}
 		for name, p := range preds {
 			p.SpecPush(b == 1, uint64(step)*4)
 			for ti, tb := range p.tables {
-				for k, f := range p.spec.folds[ti] {
-					if want := directFold(window, tb.histLen, int(f.compLen)); f.comp != want {
-						t.Fatalf("%s step %d, table %d fold %d (origLen %d compLen %d): register %#x, direct fold %#x",
-							name, step, ti, k, tb.histLen, f.compLen, f.comp, want)
+				widths := [3]int{p.cfg.LogTagged, p.cfg.TagBits, p.cfg.TagBits - 1}
+				for k, r := range [3]uint8{tb.idx, tb.tag, tb.tag2} {
+					if got, want := p.spec.folds[r], directFold(window, tb.histLen, widths[k]); uint64(got) != want {
+						t.Fatalf("%s step %d, table %d fold %d (register %d, origLen %d compLen %d): register %#x, direct fold %#x",
+							name, step, ti, k, r, tb.histLen, widths[k], got, want)
 					}
 				}
 			}
@@ -241,18 +258,65 @@ func TestFoldedHistoryEquivalence(t *testing.T) {
 	}
 }
 
-func TestHistoryBuffer(t *testing.T) {
-	h := newHistory(128)
-	seq := []uint64{1, 0, 1, 1, 0, 0, 1}
-	for _, b := range seq {
-		h.push(b)
-	}
-	for k := 0; k < len(seq); k++ {
-		want := seq[len(seq)-1-k]
-		if got := h.bit(k); got != want {
-			t.Errorf("bit(%d) = %d, want %d", k, got, want)
+// ageBit returns the history bit of age k (0 = newest) in h.
+func ageBit(h *histState, k int) uint64 { return h.ghist[k/64] >> (k % 64) & 1 }
+
+// TestShiftRegisterHistory checks that the history shift register holds
+// the k-th newest push at age k for every k < MaxHist (zero before the
+// first push reaches it), in the speculative and the architectural
+// state, after SyncSpec copies one over the other, and in a clone and
+// its original pushed apart.
+func TestShiftRegisterHistory(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxHist = 130 // three words, the last partly used
+	p := New(cfg)
+	check := func(when string, h *histState, window []uint64) {
+		t.Helper()
+		for k := 0; k < cfg.MaxHist; k++ {
+			var want uint64
+			if k < len(window) {
+				want = window[len(window)-1-k]
+			}
+			if got := ageBit(h, k); got != want {
+				t.Fatalf("%s, %d pushes: bit of age %d = %d, want %d", when, len(window), k, got, want)
+			}
 		}
 	}
+	rng := rand.New(rand.NewSource(3))
+	var spec, arch []uint64
+	push := func(p *Predictor, spec, arch *[]uint64) {
+		s, a := rng.Intn(2) == 1, rng.Intn(2) == 1
+		p.SpecPush(s, 0)
+		p.ArchPush(a, 0)
+		*spec, *arch = append(*spec, b2u(s)), append(*arch, b2u(a))
+	}
+	for i := 0; i < 300; i++ {
+		push(p, &spec, &arch)
+		check("spec", &p.spec, spec)
+		check("arch", &p.arch, arch)
+		if i%97 == 50 {
+			p.SyncSpec()
+			spec = append([]uint64(nil), arch...)
+			check("spec after SyncSpec", &p.spec, spec)
+		}
+	}
+	c := p.Clone()
+	cspec, carch := append([]uint64(nil), spec...), append([]uint64(nil), arch...)
+	for i := 0; i < 200; i++ {
+		push(c, &cspec, &carch)
+		push(p, &spec, &arch)
+		check("clone spec", &c.spec, cspec)
+		check("clone arch", &c.arch, carch)
+		check("original spec after Clone", &p.spec, spec)
+		check("original arch after Clone", &p.arch, arch)
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestSaturatingCounters(t *testing.T) {

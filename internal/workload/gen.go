@@ -23,20 +23,24 @@ type Workload struct {
 	// offset is not an instruction boundary on the canonical stream.
 	instIdx []int32
 	insts   []isa.Inst
-	// branchMask maps a cache-line address to a bitmask of the in-line
-	// byte offsets of branch instructions starting in that line. The IAG
-	// scan uses it to probe the BTB/SBB only at plausible branch sites,
-	// the software equivalent of the hardware's per-byte parallel probe.
-	branchMask map[uint64]uint64
+	// branchMask holds, per image line ((lineAddr-Prog.Base)/LineSize),
+	// a bitmask of the in-line byte offsets of branch instructions
+	// starting in that line. The IAG scan uses it to probe the BTB/SBB
+	// only at plausible branch sites, the software equivalent of the
+	// hardware's per-byte parallel probe.
+	branchMask []uint64
 }
 
 // BranchMask returns the branch start offsets within the line at
 // lineAddr as a bitmask: bit i set means a branch instruction starts at
 // byte i. One word per line (LineSize = 64) lets the front end merge
 // canonical and shadow-discovered offsets with a single OR instead of a
-// sorted-slice merge.
+// sorted-slice merge. A line outside the image has no branches.
 func (w *Workload) BranchMask(lineAddr uint64) uint64 {
-	return w.branchMask[lineAddr]
+	if i := (lineAddr - w.Prog.Base) / program.LineSize; i < uint64(len(w.branchMask)) {
+		return w.branchMask[i]
+	}
+	return 0
 }
 
 // InstAt returns the pre-decoded instruction starting at pc, if pc is an
@@ -212,11 +216,11 @@ func (w *Workload) buildInstIndex() error {
 		w.insts = append(w.insts, in)
 		off += int(in.Len)
 	}
-	w.branchMask = make(map[uint64]uint64)
+	w.branchMask = make([]uint64, (len(code)+program.LineSize-1)/program.LineSize)
 	for i := range w.insts {
 		in := &w.insts[i]
 		if in.Class.IsBranch() {
-			w.branchMask[program.LineAddr(in.PC)] |= 1 << program.LineOffset(in.PC)
+			w.branchMask[(in.PC-w.Prog.Base)/program.LineSize] |= 1 << program.LineOffset(in.PC)
 		}
 	}
 	return nil

@@ -291,3 +291,43 @@ func TestMustGeneratePanics(t *testing.T) {
 	p.Name = ""
 	MustGenerate(p)
 }
+
+// TestBranchMaskDense checks the per-line branch index against the
+// canonical decode stream: for every line of every suite workload,
+// BranchMask is the OR of the offsets at which InstAt finds a branch
+// starting in that line, and lines outside the image (the one below
+// Base, the first past End, address 0) have none.
+func TestBranchMaskDense(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size generation in -short mode")
+	}
+	for _, name := range SuiteNames() {
+		p, _ := ByName(name)
+		w, err := Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[uint64]uint64{}
+		for pc := w.Prog.Base; pc < w.Prog.End(); {
+			in, ok := w.InstAt(pc)
+			if !ok {
+				t.Fatalf("%s: no instruction at boundary %#x", name, pc)
+			}
+			if in.Class.IsBranch() {
+				want[program.LineAddr(pc)] |= 1 << program.LineOffset(pc)
+			}
+			pc = in.NextPC()
+		}
+		for la := program.LineAddr(w.Prog.Base); la < w.Prog.End(); la += program.LineSize {
+			if got := w.BranchMask(la); got != want[la] {
+				t.Fatalf("%s: BranchMask(%#x) = %#x, decode stream gives %#x", name, la, got, want[la])
+			}
+		}
+		end := program.LineAddr(w.Prog.End()-1) + program.LineSize
+		for _, la := range []uint64{w.Prog.Base - program.LineSize, end, 0} {
+			if got := w.BranchMask(la); got != 0 {
+				t.Errorf("%s: BranchMask(%#x) outside the image [%#x, %#x) = %#x, want 0", name, la, w.Prog.Base, w.Prog.End(), got)
+			}
+		}
+	}
+}
