@@ -10,14 +10,13 @@
 //	skiabench -out BENCH_8.json     # also write the JSON envelope
 //	skiabench -baseline BENCH_8.json -max-regress 0.25
 //	skiabench -bench frontend       # run a subset by substring
-//	skiabench -archive runs/        # record the envelope in a run-history archive
 //
 // With -baseline the run gates like a regression test: any benchmark
 // whose ns/op exceeds the baseline's by more than -max-regress fails
 // the run (exit 1). Allocation counts gate under the same threshold,
 // but only for benchmarks whose baseline allocates enough (≥100
 // allocs/op) for the ratio to be meaningful. The envelope schema is
-// documented in EXPERIMENTS.md ("Benchmark trajectory schema").
+// documented in EXPERIMENTS.md ("Benchmark trajectory").
 package main
 
 import (
@@ -27,31 +26,124 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
-// SchemaVersion identifies the BENCH_*.json envelope format. The
-// envelope types live in internal/benchfmt so the run-history archive
-// (internal/store) and the dashboard (cmd/skiaboard) share them.
-const SchemaVersion = benchfmt.SchemaVersion
+// SchemaVersion identifies the BENCH_*.json envelope format.
+const SchemaVersion = 1
 
-// Entry and Envelope alias the shared envelope types.
-type (
-	Entry    = benchfmt.Entry
-	Envelope = benchfmt.Envelope
-)
+// Entry is one benchmark's measured cost.
+type Entry struct {
+	Name string `json:"name"`
+	// Iterations is testing.B's chosen N (1 for experiment entries).
+	Iterations int `json:"iterations"`
+	// NsPerOp is wall time per operation. For hot-loop benchmarks an
+	// operation is 1000 simulated instructions; for experiment entries
+	// it is the whole experiment.
+	NsPerOp float64 `json:"ns_per_op"`
+	// AllocsPerOp and BytesPerOp come from testing.B's allocation
+	// counters (absent for experiment entries).
+	AllocsPerOp int64 `json:"allocs_per_op"`
+	BytesPerOp  int64 `json:"bytes_per_op"`
+	// Metrics carries benchmark-specific extras: "minsts_per_s" for
+	// hot loops (simulated Minstructions per wall second), "sim_mips"
+	// for experiment entries (the runner's aggregate throughput).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Envelope is the BENCH_*.json file layout.
+type Envelope struct {
+	SchemaVersion int    `json:"schema_version"`
+	GeneratedAt   string `json:"generated_at"`
+	GitDescribe   string `json:"git_describe,omitempty"`
+	GoVersion     string `json:"go_version"`
+	GOOS          string `json:"goos"`
+	GOARCH        string `json:"goarch"`
+	NumCPU        int    `json:"num_cpu"`
+	// NonTestLines is the module's non-test Go line count (see
+	// countNonTestLines); absent when the module root was not found.
+	NonTestLines int     `json:"non_test_lines,omitempty"`
+	Entries      []Entry `json:"entries"`
+}
+
+// decodeEnvelope parses one BENCH_*.json envelope, rejecting schema
+// versions newer than this build.
+func decodeEnvelope(data []byte) (*Envelope, error) {
+	var env Envelope
+	if err := json.Unmarshal(data, &env); err != nil {
+		return nil, err
+	}
+	if env.SchemaVersion > SchemaVersion {
+		return nil, fmt.Errorf("envelope schema v%d is newer than this build (v%d)",
+			env.SchemaVersion, SchemaVersion)
+	}
+	return &env, nil
+}
+
+// moduleRoot walks up from the working directory to the nearest
+// directory holding a go.mod.
+func moduleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod above the working directory")
+		}
+		dir = parent
+	}
+}
+
+// countNonTestLines counts the lines of every .go file under root,
+// skipping _test.go files, testdata directories and nested modules
+// (directories with their own go.mod, such as perfbench).
+func countNonTestLines(root string) (int, error) {
+	lines := 0
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		name := d.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		lines += strings.Count(string(data), "\n")
+		return nil
+	})
+	return lines, err
+}
 
 // cycleCore builds a warmed core for the hot-loop benchmarks,
 // mirroring bench_test.go's BenchmarkFrontEndCycle setup so the two
@@ -310,11 +402,21 @@ func main() {
 		baseline   = flag.String("baseline", "", "gate against this BENCH_*.json baseline")
 		maxRegress = flag.Float64("max-regress", 0.25, "maximum tolerated ns/op (and allocs/op) regression vs -baseline")
 		match      = flag.String("bench", "", "only run benchmarks whose name contains this substring")
-		archiveDir = flag.String("archive", "", "also record the envelope in this run-history archive (skiaboard renders the trajectory)")
 	)
 	var prof metrics.Profiler
 	prof.RegisterFlags(flag.CommandLine)
 	flag.Parse()
+	var base *Envelope
+	if *baseline != "" {
+		data, err := os.ReadFile(*baseline)
+		if err == nil {
+			base, err = decodeEnvelope(data)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "skiabench: baseline: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skiabench: %v\n", err)
@@ -329,6 +431,11 @@ func main() {
 		GOOS:          runtime.GOOS,
 		GOARCH:        runtime.GOARCH,
 		NumCPU:        runtime.NumCPU(),
+	}
+	if root, err := moduleRoot(); err != nil {
+		fmt.Fprintf(os.Stderr, "skiabench: line count: %v\n", err)
+	} else if env.NonTestLines, err = countNonTestLines(root); err != nil {
+		fmt.Fprintf(os.Stderr, "skiabench: line count: %v\n", err)
 	}
 	var budgetFails []string
 	for _, reg := range registry() {
@@ -364,58 +471,25 @@ func main() {
 		}
 		fmt.Printf("%-26s %12.0f %12d %12d %10s\n", e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp, extra)
 	}
+	if env.NonTestLines > 0 {
+		fmt.Printf("non-test Go lines: %d\n", env.NonTestLines)
+	}
 
-	if *out != "" || *archiveDir != "" {
+	if *out != "" {
 		data, err := json.MarshalIndent(env, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skiabench: %v\n", err)
 			os.Exit(2)
 		}
-		if *out != "" {
-			if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "skiabench: %v\n", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "skiabench: %v\n", err)
+			os.Exit(2)
 		}
-		if *archiveDir != "" {
-			a, err := store.Open(*archiveDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skiabench: %v\n", err)
-				os.Exit(2)
-			}
-			entry, added, err := a.PutBench(data, store.PutMeta{
-				RecordedAt: time.Now(), GitDescribe: env.GitDescribe, Source: "skiabench",
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skiabench: %v\n", err)
-				os.Exit(2)
-			}
-			state := "archived"
-			if !added {
-				state = "already archived (dedup)"
-			}
-			fmt.Fprintf(os.Stderr, "%s in %s as %s\n", state, *archiveDir, entry.ID[:12])
-		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
 
-	if *baseline != "" {
-		data, err := os.ReadFile(*baseline)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skiabench: baseline: %v\n", err)
-			os.Exit(2)
-		}
-		var base Envelope
-		if err := json.Unmarshal(data, &base); err != nil {
-			fmt.Fprintf(os.Stderr, "skiabench: baseline: %v\n", err)
-			os.Exit(2)
-		}
-		if base.SchemaVersion > SchemaVersion {
-			fmt.Fprintf(os.Stderr, "skiabench: baseline schema v%d is newer than this build (v%d)\n",
-				base.SchemaVersion, SchemaVersion)
-			os.Exit(2)
-		}
-		fails := gate(&base, env, *maxRegress)
+	if base != nil {
+		fails := gate(base, env, *maxRegress)
 		if len(fails) > 0 {
 			for _, f := range fails {
 				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", f)

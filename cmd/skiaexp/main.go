@@ -14,8 +14,7 @@
 // report is emitted as a versioned JSON envelope (schema documented in
 // EXPERIMENTS.md, "Results schema"); with -out DIR the envelopes are
 // written to DIR/<id>.json plus a DIR/manifest.json index, ready for
-// regression diffing with cmd/skiacmp. For a long-running service
-// around the same harnesses, see cmd/skiaserve and API.md.
+// regression diffing with cmd/skiacmp.
 //
 // Every failure — experiment errors, report or manifest write errors,
 // profiler shutdown errors — exits nonzero; a partial -out directory
@@ -42,7 +41,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // gitDescribe best-effort identifies the tree that produced a report;
@@ -79,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		workers = fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		asJSON  = fs.Bool("json", false, "emit JSON report envelopes instead of plain text")
 		outDir  = fs.String("out", "", "write <id>.json per experiment plus manifest.json into this directory (implies -json)")
-		arcDir  = fs.String("archive", "", "also record each report in this run-history archive (implies -json; see cmd/skiaboard)")
 
 		intervals = fs.Uint64("intervals", 0,
 			"collect interval metrics every N retired instructions per run; summaries land in the report envelope's `intervals` section (0 = off)")
@@ -97,15 +94,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *outDir != "" || *arcDir != "" {
+	if *outDir != "" {
 		*asJSON = true
-	}
-	var arc *store.Archive
-	if *arcDir != "" {
-		var err error
-		if arc, err = store.Open(*arcDir); err != nil {
-			return err
-		}
 	}
 	stopProf, err := prof.Start()
 	if err != nil {
@@ -172,20 +162,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			break
 		}
 		data = append(data, '\n')
-		if arc != nil {
-			entry, added, err := arc.PutReport(data, store.NewSpec(id, opts), store.PutMeta{
-				RecordedAt: time.Now(), GitDescribe: describe, Source: "skiaexp",
-			})
-			if err != nil {
-				failures = append(failures, fmt.Errorf("%s: archive: %w", id, err))
-				break
-			}
-			state := "archived"
-			if !added {
-				state = "already archived (dedup)"
-			}
-			fmt.Fprintf(stdout, "%s %s as %s (spec %s)\n", state, id, entry.ID[:12], entry.SpecHash[:12])
-		}
 		if *outDir == "" {
 			stdout.Write(data)
 			continue

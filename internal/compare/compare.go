@@ -187,12 +187,6 @@ func LoadPath(path string) (map[string]*experiments.Report, error) {
 	return out, nil
 }
 
-// RowKey identifies a row by its label (string-kind) cells — the same
-// key Diff pairs rows with — exported so internal/store names a
-// trajectory metric "rowkey/column" exactly the way a diff finding
-// names a failing cell.
-func RowKey(row []stats.Cell) string { return rowKey(row) }
-
 // rowKey identifies a row by its label (string-kind) cells so rows
 // still pair up when row order shifts. Tables whose rows carry no
 // string cells fall back to positional pairing via the duplicate-key

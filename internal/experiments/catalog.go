@@ -1,17 +1,13 @@
 package experiments
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // Harness regenerates one paper artifact under the given options.
 type Harness func(Options) (*Report, error)
 
 // Catalog returns the full experiment registry, one Harness per
-// reproducible artifact, keyed by the IDs cmd/skiaexp accepts and the
-// sweep service (internal/serve) schedules. The map is rebuilt per
-// call so callers may mutate their copy.
+// reproducible artifact, keyed by the IDs cmd/skiaexp accepts. The map
+// is rebuilt per call so callers may mutate their copy.
 func Catalog() map[string]Harness {
 	return map[string]Harness{
 		"fig1":  func(o Options) (*Report, error) { return Fig1(o, nil) },
@@ -60,14 +56,4 @@ func IDs() []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// Run looks up id in the catalog and executes its harness. Unknown
-// IDs return an error naming the available set.
-func Run(id string, o Options) (*Report, error) {
-	fn, ok := Catalog()[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
-	}
-	return fn(o)
 }

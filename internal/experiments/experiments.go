@@ -16,9 +16,7 @@
 // is documented field by field in EXPERIMENTS.md ("Results schema").
 //
 // Catalog exposes every harness by ID for driving experiments by
-// name: cmd/skiaexp iterates it for batch runs, and internal/serve
-// (cmd/skiaserve) serves the same catalog over an HTTP job API whose
-// specs reuse this package's envelope vocabulary (see API.md).
+// name: cmd/skiaexp iterates it for batch runs.
 package experiments
 
 import (
@@ -81,16 +79,8 @@ type Options struct {
 	// Context, when non-nil, bounds every simulation the harness runs:
 	// cancellation or deadline expiry aborts in-flight runs at the next
 	// instruction chunk and the harness returns an error wrapping
-	// ctx.Err(). nil means no bound. The sweep service
-	// (internal/serve) sets this per job.
+	// ctx.Err(). nil means no bound.
 	Context context.Context
-	// Progress, when non-nil, receives cumulative live progress from
-	// the harness's runner (see sim.Runner.OnProgress): instructions
-	// retired so far and the planned total, published at every
-	// instruction-chunk boundary. Called concurrently from simulation
-	// worker goroutines. The sweep service sets this per job to expose
-	// progress, simulated MIPS, and ETA over the job API.
-	Progress func(done, planned uint64)
 }
 
 func (o Options) benchmarks() []string {
@@ -110,7 +100,6 @@ func (o Options) runner() *sim.Runner {
 	r.Checkpoints = o.Checkpoints
 	r.SampleEcho = o.SampleEcho
 	r.BaseContext = o.Context
-	r.OnProgress = o.Progress
 	return r
 }
 

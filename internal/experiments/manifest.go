@@ -9,10 +9,7 @@ type ManifestEntry struct {
 }
 
 // Manifest is the top-level index written alongside per-experiment
-// report files. cmd/skiaexp writes one per -json -out run and
-// cmd/skiactl writes the same shape when aggregating sweep-service
-// results, so downstream tooling (cmd/skiacmp, dashboards) reads both
-// identically.
+// report files. cmd/skiaexp writes one per -json -out run.
 type Manifest struct {
 	SchemaVersion    int             `json:"schema_version"`
 	GeneratedAt      string          `json:"generated_at"`

@@ -25,9 +25,9 @@ import (
 //	    attribution.
 //	4 — adds meta.interval_instructions: the effective interval-metrics
 //	    collection window, recorded so a report's simulation-affecting
-//	    spec (internal/store.SpecOfReport) is fully recoverable from
-//	    the envelope alone. Purely additive: older reports decode as
-//	    v4 reports with a zero (collection off) interval.
+//	    spec is fully recoverable from the envelope alone. Purely
+//	    additive: older reports decode as v4 reports with a zero
+//	    (collection off) interval.
 //	5 — adds the optional `sampling` section (per-spec sampled-
 //	    simulation summaries: metric point estimates with 95%
 //	    confidence intervals, interval/skip accounting) and the
@@ -61,7 +61,7 @@ type RunMeta struct {
 	// (Options.Interval): one interval row per this many retired
 	// instructions, 0 when collection was off. Schema v4; recorded so
 	// the run's simulation-affecting spec is recoverable from the
-	// envelope (internal/store keys its archive on it).
+	// envelope.
 	IntervalInstructions uint64 `json:"interval_instructions,omitempty"`
 	// SampleIntervals, SampleIntervalInstructions,
 	// SampleMicroWarmupInstructions, and SampleWarmWindowInstructions
@@ -71,7 +71,7 @@ type RunMeta struct {
 	// warming bounded to the final warm-window instructions of each
 	// skip (0 = the whole distance warms). All zero when the run was
 	// exact. These change the simulated result, so they are part of
-	// the recoverable spec (internal/store.SpecOfReport). Schema v5.
+	// the recoverable spec. Schema v5.
 	SampleIntervals               int    `json:"sample_intervals,omitempty"`
 	SampleIntervalInstructions    uint64 `json:"sample_interval_instructions,omitempty"`
 	SampleMicroWarmupInstructions uint64 `json:"sample_micro_warmup_instructions,omitempty"`
@@ -95,9 +95,9 @@ type RunMeta struct {
 	Sim *sim.RunnerStats `json:"sim,omitempty"`
 }
 
-// BenchmarkRefs pairs each named workload with its registry seed, in
+// benchmarkRefs pairs each named workload with its registry seed, in
 // order (a name the registry does not know gets seed 0).
-func BenchmarkRefs(names []string) []BenchmarkRef {
+func benchmarkRefs(names []string) []BenchmarkRef {
 	var refs []BenchmarkRef
 	for _, n := range names {
 		ref := BenchmarkRef{Name: n}
@@ -109,14 +109,14 @@ func BenchmarkRefs(names []string) []BenchmarkRef {
 	return refs
 }
 
-// Meta resolves the options into the run metadata a report over
+// meta resolves the options into the run metadata a report over
 // benches records: the effective windows, the interval window, the
 // normalized sample plan (zero when exact) and the benchmark refs with
 // their seeds.
-func (o Options) Meta(benches []string) RunMeta {
+func (o Options) meta(benches []string) RunMeta {
 	warm, meas := sim.Windows(o.Warmup, o.Measure)
 	m := RunMeta{WarmupInstructions: warm, MeasureInstructions: meas,
-		IntervalInstructions: o.Interval, Benchmarks: BenchmarkRefs(benches)}
+		IntervalInstructions: o.Interval, Benchmarks: benchmarkRefs(benches)}
 	if o.Sample != nil {
 		p := o.Sample.Normalized(meas)
 		m.SampleIntervals = p.Intervals
@@ -133,7 +133,7 @@ func (o Options) Meta(benches []string) RunMeta {
 // specs (nil for static tables). It returns the report for use in
 // return statements.
 func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
-	m := o.Meta(benches)
+	m := o.meta(benches)
 	if r != nil {
 		st := r.Stats()
 		m.Sim = &st

@@ -20,9 +20,9 @@ import (
 //     carried on a serialized schema via a json struct tag. A counter
 //     that is bumped but never read is either dead weight or, worse, a
 //     result someone believes is published when it is not. Histogram
-//     fields (serve.ServiceStats and friends) follow the same rule
-//     with Observe as the increment: a histogram that accumulates
-//     samples nobody renders is the same dead weight.
+//     fields of such structs follow the same rule with Observe as the
+//     increment: a histogram that accumulates samples nobody renders
+//     is the same dead weight.
 //
 //  2. Hook pairing: every func-typed struct field named On* (OnEvict,
 //     OnRemove, OnHeadPaths, …) must have at least one non-nil

@@ -6,13 +6,12 @@ import (
 	"strings"
 )
 
-// CtxWaitAnalyzer enforces the goroutine/context discipline the service
-// and sampling layers rely on: in `internal/serve` and `internal/sim`,
-// every spawned goroutine must observe cancellation, and every channel
-// send must be cancellable. A goroutine that blocks forever after its
-// context is cancelled leaks a worker per abandoned job; a bare send
-// on a bounded queue deadlocks the whole pool when the consumer has
-// already exited.
+// CtxWaitAnalyzer enforces the goroutine/context discipline the
+// simulation runner relies on: in `internal/sim`, every spawned
+// goroutine must observe cancellation, and every channel send must be
+// cancellable. A goroutine that blocks forever after its context is
+// cancelled leaks a worker per abandoned run; a bare send on a bounded
+// queue deadlocks the whole pool when the consumer has already exited.
 //
 // "Observes cancellation" is established by any of:
 //
@@ -24,7 +23,7 @@ import (
 //   - calling a module function that itself observes cancellation,
 //     followed to a fixpoint through the whole-program call graph —
 //     so `go s.worker(sh)` is proven by worker's select, and
-//     `go func() { r.runContext(ctx, ...) }()` by runContext's
+//     `go func() { r.RunContext(ctx, ...) }()` by RunContext's
 //     chunked ctx checks, across package boundaries.
 //
 // A send is cancellable when it is a select case alongside a default
@@ -33,13 +32,13 @@ import (
 // reserved for sends whose receiver provably outlives the sender.
 var CtxWaitAnalyzer = &Analyzer{
 	Name:      "ctxwait",
-	Doc:       "requires goroutines in serve/sim to observe cancellation and channel sends to be cancellable",
+	Doc:       "requires goroutines in sim to observe cancellation and channel sends to be cancellable",
 	Directive: "//skia:ctxwait-ok",
 	Exclude: func(pkgPath string) bool {
 		if strings.Contains(pkgPath, "/testdata/") {
 			return false
 		}
-		return !strings.HasSuffix(pkgPath, "/serve") && !strings.HasSuffix(pkgPath, "/sim")
+		return !strings.HasSuffix(pkgPath, "/sim")
 	},
 	RunProgram: runCtxWait,
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // HookPureAnalyzer polices the observability-hook contract every layer
-// of the simulator relies on (tracers, attribution, progress, eviction
+// of the simulator relies on (tracers, attribution, eviction
 // observers): hooks are optional, so every invocation of an `On*`
 // func-typed field must be nil-checked — a disabled hook costs one
 // comparison, never a panic — and hook bodies must stay pure with

@@ -47,7 +47,7 @@
 //	    attachment. A justification is required.
 //
 //	//skia:ctxwait-ok <justification>
-//	    On a go statement or channel send in serve/sim: the goroutine
+//	    On a go statement or channel send in sim: the goroutine
 //	    or send provably cannot outlive its receiver. A justification
 //	    is required.
 //
@@ -145,7 +145,7 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Analyzers returns the full suite in reporting order. The second
 // generation (clonecomplete, ctxwait, atomicmix, hookpure, directive)
-// statically enforces the invariants the sampling/service era
+// statically enforces the invariants the sampling era
 // introduced dynamically: checkpoint clone completeness, goroutine
 // cancellation discipline, atomics consistency, and hook purity.
 func Analyzers() []*Analyzer {

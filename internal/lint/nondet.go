@@ -13,13 +13,9 @@ import (
 // behavior must be a pure function of the workload seed; workloads
 // thread a seeded *rand.Rand instead.
 //
-// Allowlisted packages (throughput observability, the HTTP service
-// layer, and CLI envelopes): internal/metrics, internal/serve, cmd/*,
-// examples/*. internal/serve schedules and times jobs around the
-// simulator — wall-clock is its job — and nothing it computes feeds
-// back into simulated state, which still runs under the annotated
-// sim/experiments packages. Inside simulation packages, a wall-clock
-// read that feeds only run timing can be annotated with
+// Allowlisted packages (throughput observability and CLI envelopes):
+// internal/metrics, cmd/*, examples/*. Inside simulation packages, a
+// wall-clock read that feeds only run timing can be annotated with
 // `//skia:nondet-ok <justification>` on the line above.
 var NonDetAnalyzer = &Analyzer{
 	Name:      "nondet",
@@ -33,8 +29,6 @@ func nonDetExcluded(path string) bool {
 	const mod = "repro"
 	return path == mod+"/internal/metrics" ||
 		strings.HasPrefix(path, mod+"/internal/metrics/") ||
-		path == mod+"/internal/serve" ||
-		strings.HasPrefix(path, mod+"/internal/serve/") ||
 		strings.HasPrefix(path, mod+"/cmd/") ||
 		strings.HasPrefix(path, mod+"/examples/")
 }

@@ -8,23 +8,22 @@ import (
 	"time"
 )
 
-// Span is one timed phase of a service request: the sweep service
-// records a submit → queue → run → stream span set per job, each span
-// carrying the W3C trace identity the client propagated (or a
-// self-rooted one the server synthesized). Spans live in wall-clock
-// time — unlike Event, which lives in simulated cycles — because they
-// measure the service around the simulator, not the simulator itself.
+// Span is one timed host-side phase around the simulator, such as a
+// workload generation, a core warmup or a sweep (perfbench's traced
+// pass records one per call it times). Spans live in wall-clock time —
+// unlike Event, which lives in simulated cycles — because they measure
+// the harness around the simulator, not the simulator itself.
 type Span struct {
-	// TraceID is the 32-hex-digit W3C trace ID shared by every span of
-	// one request chain.
+	// TraceID is shared by every span of one trace.
 	TraceID string `json:"trace_id"`
-	// SpanID is this span's 16-hex-digit ID; ParentID is the enclosing
-	// span's ("" for a root).
+	// SpanID is this span's ID; ParentID is the enclosing span's (""
+	// for a root).
 	SpanID   string `json:"span_id"`
 	ParentID string `json:"parent_id,omitempty"`
-	// Name is the phase: "submit", "queue", "run", "stream".
+	// Name is the phase, e.g. "setup", "sweep", "Core.Clone".
 	Name string `json:"name"`
-	// Scope groups spans belonging to one logical unit (a job ID).
+	// Scope groups spans belonging to one logical unit (a benchmark or
+	// spec).
 	Scope string `json:"scope,omitempty"`
 	// Start and End bracket the phase in wall-clock time.
 	Start time.Time `json:"start"`
@@ -36,18 +35,10 @@ type Span struct {
 // Duration returns the span's wall-clock extent.
 func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 
-// SpanRecorder receives completed spans. The service holds a
-// nil-checkable recorder, so disabled tracing costs one nil comparison
-// per phase boundary — the same contract Tracer gives the simulator's
-// hot path.
-type SpanRecorder interface {
-	RecordSpan(Span)
-}
-
 // SpanRing records the most recent spans in a fixed-capacity ring,
-// bounding memory no matter how long the service runs. Unlike
-// RingTracer it is safe for concurrent use: spans arrive from HTTP
-// handler and worker goroutines.
+// bounding memory no matter how long the capture runs. Unlike
+// RingTracer it is safe for concurrent use: spans arrive from sweep
+// worker goroutines.
 type SpanRing struct {
 	mu    sync.Mutex
 	buf   []Span
@@ -55,14 +46,11 @@ type SpanRing struct {
 	total uint64
 }
 
-// DefaultSpanRingCapacity bounds a SpanRing built with capacity <= 0.
-const DefaultSpanRingCapacity = 1 << 14
-
-// NewSpanRing returns a ring holding up to cap spans (<= 0 selects
-// DefaultSpanRingCapacity).
+// NewSpanRing returns a ring holding up to capacity spans (at least
+// one).
 func NewSpanRing(capacity int) *SpanRing {
-	if capacity <= 0 {
-		capacity = DefaultSpanRingCapacity
+	if capacity < 1 {
+		capacity = 1
 	}
 	return &SpanRing{buf: make([]Span, 0, capacity)}
 }
@@ -79,13 +67,6 @@ func (r *SpanRing) RecordSpan(s Span) {
 		r.next = (r.next + 1) % len(r.buf)
 	}
 	r.total++
-}
-
-// Total counts all spans recorded, including overwritten ones.
-func (r *SpanRing) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Dropped counts spans lost to ring wraparound.
@@ -119,7 +100,7 @@ func WriteSpanChromeTrace(w io.Writer, spans []Span, meta map[string]any) error 
 	}
 	out.TraceEvents = append(out.TraceEvents, chromeEvent{
 		Name: "process_name", Phase: "M", PID: 1,
-		Args: map[string]any{"name": "skiaserve"},
+		Args: map[string]any{"name": "spans"},
 	})
 	// One thread per distinct phase name, in sorted order.
 	names := make([]string, 0, 4)

@@ -295,9 +295,8 @@ type ckptCell struct {
 // warmup, config). A runner with Checkpoint set keeps one internally;
 // handing the same cache to several runners (Runner.Checkpoints)
 // stretches warmup reuse across sweeps — the exact/sampled pairing the
-// sampling CI gate runs, repeated sweeps in a bench harness, a serve
-// process re-visiting the same warm point. Safe for concurrent use;
-// each cell warms at most once.
+// sampling CI gate runs, repeated sweeps in a bench harness. Safe for
+// concurrent use; each cell warms at most once.
 type CheckpointCache struct {
 	mu    sync.Mutex
 	cells map[string]*ckptCell
@@ -339,9 +338,7 @@ func checkpointKey(spec RunSpec, warm uint64) (string, error) {
 // path, bit-identical to prior releases). With Checkpoint it keeps one
 // warmed master per (benchmark, config, warmup) and returns clones, so
 // a sweep re-visiting the same warmup prefix — an exact/sampled pair,
-// a re-run, a multi-seed sweep — pays warmup once. Reused warmups are
-// booked into the progress counters as done work, keeping the
-// done/planned fraction convergent.
+// a re-run, a multi-seed sweep — pays warmup once.
 func (r *Runner) warmCore(ctx context.Context, spec RunSpec, w *workload.Workload, warm uint64) (*cpu.Core, error) {
 	if !r.Checkpoint {
 		c, err := cpu.New(spec.Config, w)
@@ -377,34 +374,7 @@ func (r *Runner) warmCore(ctx context.Context, spec RunSpec, w *workload.Workloa
 		cell.core = c
 		return c.Clone(), nil
 	}
-	// Checkpoint hit: the warmup this spec planned is already done.
-	done := r.progressDone.Add(warm)
-	if r.OnProgress != nil {
-		r.OnProgress(done, r.progressPlanned.Load())
-	}
 	return cell.core.Clone(), nil
-}
-
-// plannedInsts returns the detail-instruction volume a spec will
-// register with the progress plan: warmup + measurement when exact;
-// warmup + per-interval micro-warmup and measurement when sampled
-// (functionally skipped instructions are not detail work and are not
-// planned).
-func (r *Runner) plannedInsts(spec RunSpec) uint64 {
-	warm, meas := Windows(spec.Warmup, spec.Measure)
-	if r.Sample == nil {
-		return warm + meas
-	}
-	np := r.Sample.normalized(meas)
-	total := warm
-	for i := 0; i < np.Intervals; i++ {
-		mw := np.MicroWarmup
-		if start := np.intervalStart(i, meas); mw > start {
-			mw = start
-		}
-		total += mw + np.IntervalInsts
-	}
-	return total
 }
 
 // fastForward advances the core functionally by n instructions in

@@ -465,22 +465,3 @@ func TestSampleFlagsImplySampling(t *testing.T) {
 		}
 	}
 }
-
-// TestPlannedInstsSampled: the progress plan for a sampled spec counts
-// warmup plus per-interval detail only (micro-warmup clipped at each
-// interval's start), never the functionally skipped bulk.
-func TestPlannedInstsSampled(t *testing.T) {
-	r := NewRunner()
-	spec := sampleSpec("voter", true)
-	warm, meas := Windows(spec.Warmup, spec.Measure)
-	if got := r.plannedInsts(spec); got != warm+meas {
-		t.Errorf("exact planned %d, want %d", got, warm+meas)
-	}
-	r.Sample = &SamplePlan{Intervals: 4, IntervalInsts: 10_000, MicroWarmup: 5_000}
-	// Interval 0 starts at the warmup boundary: its micro-warmup clips
-	// to zero. The rest pay the full micro-warmup.
-	want := warm + 4*10_000 + 3*5_000
-	if got := r.plannedInsts(spec); got != want {
-		t.Errorf("sampled planned %d, want %d", got, want)
-	}
-}

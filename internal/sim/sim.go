@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/attrib"
@@ -164,28 +163,8 @@ type Runner struct {
 	// BaseContext, when non-nil, bounds every Run and RunAll call that
 	// does not receive an explicit context: cancellation or deadline
 	// expiry aborts simulations between instruction chunks. nil means
-	// context.Background(). The long-running sweep service
-	// (internal/serve) sets this per job so HTTP cancellation and
-	// per-job timeouts propagate into the simulation loop.
+	// context.Background().
 	BaseContext context.Context
-	// OnProgress, when non-nil, receives cumulative progress after
-	// every simulated instruction chunk (ctxCheckChunk = 262,144
-	// retired instructions) and whenever planned work is registered:
-	// done is the total instructions retired across every run this
-	// Runner has executed, planned the total its known work will retire
-	// (RunAll pre-registers its whole spec list before the first run
-	// starts, so done/planned is a stable completion fraction from the
-	// first chunk). The hook is called from RunAll's worker goroutines
-	// concurrently — implementations must be fast and concurrency-safe.
-	// Nil costs one nil check per chunk, nothing per simulated cycle.
-	// The sweep service publishes these values as live job progress.
-	OnProgress func(done, planned uint64)
-
-	// progressDone / progressPlanned back OnProgress and Progress();
-	// atomics, not mu, because they are touched from inside runWindow
-	// while mu-holding readers (Stats) may run concurrently.
-	progressDone    atomic.Uint64
-	progressPlanned atomic.Uint64
 
 	// All capture below is guarded by mu: Run is called from RunAll's
 	// worker goroutines, and each run's collector lives privately in
@@ -315,54 +294,22 @@ func (r *Runner) baseContext() context.Context {
 // each call by up to the retire width, so per-slice deltas would
 // compound into extra instructions, while re-deriving the remainder
 // from the absolute target keeps chunked execution bit-identical to a
-// single Run call. Each completed slice books its retired delta into
-// the runner's progress accounting — the chunk boundary doubles as the
-// progress checkpoint, so observability costs nothing inside the
-// simulated window itself.
+// single Run call.
 func (r *Runner) runWindow(ctx context.Context, c *cpu.Core, n uint64) error {
 	target := c.Retired() + n
 	for c.Retired() < target {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		before := c.Retired()
-		step := target - before
+		step := target - c.Retired()
 		if step > ctxCheckChunk {
 			step = ctxCheckChunk
 		}
-		ran := c.Run(step)
-		if d := c.Retired() - before; d > 0 {
-			done := r.progressDone.Add(d)
-			if r.OnProgress != nil {
-				r.OnProgress(done, r.progressPlanned.Load())
-			}
-		}
-		if ran == 0 {
+		if c.Run(step) == 0 {
 			break // workload exhausted
 		}
 	}
 	return ctx.Err()
-}
-
-// addPlanned registers n upcoming instructions of planned work and
-// publishes the new plan through OnProgress.
-func (r *Runner) addPlanned(n uint64) {
-	if n == 0 {
-		return
-	}
-	planned := r.progressPlanned.Add(n)
-	if r.OnProgress != nil {
-		r.OnProgress(r.progressDone.Load(), planned)
-	}
-}
-
-// Progress snapshots the runner's cumulative progress: instructions
-// retired so far across all runs, and the planned total registered by
-// Run/RunAll so far. done normally converges on planned; it stops
-// short when a workload exhausts early or a run aborts, and may exceed
-// it by up to the retire width per run (cpu.Core.Run overshoot).
-func (r *Runner) Progress() (done, planned uint64) {
-	return r.progressDone.Load(), r.progressPlanned.Load()
 }
 
 // Run executes one simulation: build core, warm up, reset statistics,
@@ -378,13 +325,6 @@ func (r *Runner) Run(spec RunSpec) (Result, error) {
 // context.Canceled / context.DeadlineExceeded) and books nothing into
 // the runner's timing counters.
 func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
-	return r.runContext(ctx, spec, true)
-}
-
-// runContext is RunContext's body; plan=false when RunAllContext has
-// already pre-registered this spec's instruction volume (so it is not
-// double-counted in the progress plan).
-func (r *Runner) runContext(ctx context.Context, spec RunSpec, plan bool) (Result, error) {
 	//skia:nondet-ok wall-clock brackets the run for throughput reporting; no simulated state depends on it
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
@@ -395,9 +335,6 @@ func (r *Runner) runContext(ctx context.Context, spec RunSpec, plan bool) (Resul
 		return Result{}, err
 	}
 	warm, meas := Windows(spec.Warmup, spec.Measure)
-	if plan {
-		r.addPlanned(r.plannedInsts(spec))
-	}
 	c, err := r.warmCore(ctx, spec, w, warm)
 	if err != nil {
 		return Result{}, err
@@ -495,10 +432,7 @@ func (r *Runner) RunAll(specs []RunSpec) ([]Result, error) {
 // RunAllContext is RunAll under an explicit context. Once ctx is done,
 // in-flight specs abort at their next chunk boundary and queued specs
 // fail immediately without simulating; each affected slot's error
-// wraps ctx.Err(). The whole spec list's instruction volume is
-// registered with the progress plan before the first run starts, so
-// OnProgress observers see a stable completion denominator from the
-// first chunk.
+// wraps ctx.Err().
 func (r *Runner) RunAllContext(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	workers := r.Workers
 	if workers <= 0 {
@@ -507,11 +441,6 @@ func (r *Runner) RunAllContext(ctx context.Context, specs []RunSpec) ([]Result, 
 	if workers > len(specs) {
 		workers = len(specs)
 	}
-	var planned uint64
-	for _, s := range specs {
-		planned += r.plannedInsts(s)
-	}
-	r.addPlanned(planned)
 	results := make([]Result, len(specs))
 	errs := make([]error, len(specs))
 	var wg sync.WaitGroup
@@ -530,7 +459,7 @@ func (r *Runner) RunAllContext(ctx context.Context, specs []RunSpec) ([]Result, 
 				return
 			}
 			defer func() { <-sem }()
-			results[i], errs[i] = r.runContext(ctx, specs[i], false)
+			results[i], errs[i] = r.RunContext(ctx, specs[i])
 		}(i)
 	}
 	wg.Wait()

@@ -481,9 +481,8 @@ func (h *Histogram) Observe(v float64) {
 // storage: bucket counts, the non-positive lane, count, sum, and the
 // min/max extremes all add, so quantiles of the merged histogram equal
 // quantiles of a histogram that observed both sample streams directly
-// (merge-then-quantile == quantile-of-merged). internal/store relies
-// on this to roll per-spec history series up into per-experiment
-// distributions without re-observing raw samples.
+// (merge-then-quantile == quantile-of-merged), so per-shard
+// histograms roll up without re-observing raw samples.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
@@ -562,8 +561,7 @@ func (h *Histogram) Sum() float64 { return h.sum }
 
 // Bucket is one cumulative bucket of an exported histogram view:
 // Count samples were ≤ UpperBound. The slice form is the
-// Prometheus-style cumulative rendering internal/serve writes to
-// /metrics.
+// Prometheus-style cumulative rendering.
 type Bucket struct {
 	// UpperBound is the bucket's upper bound.
 	UpperBound float64

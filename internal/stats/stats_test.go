@@ -289,8 +289,8 @@ func TestHistogramNonPositive(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEqualsDirectObservation is the merge property the
-// run-history roll-ups (internal/store) rely on: splitting a sample
+// TestHistogramMergeEqualsDirectObservation is the merge property a
+// roll-up of per-shard histograms relies on: splitting a sample
 // stream across K histograms and merging them is indistinguishable —
 // exactly, not within tolerance — from observing the whole stream into
 // one histogram. Checked across split counts, orderings, and a stream
@@ -488,12 +488,11 @@ func TestEmptyTableJSON(t *testing.T) {
 	}
 }
 
-// TestHistogramLog2Buckets pins the cumulative power-of-two export the
-// service /metrics endpoint renders: bounds ascend, counts are
-// cumulative and end at Count(), every sample sits at or below its
-// bucket's bound (up to the documented one-octave quantization for
-// samples exactly on a power of two), and non-positive samples occupy
-// a leading bound-0 bucket.
+// TestHistogramLog2Buckets pins the cumulative power-of-two export:
+// bounds ascend, counts are cumulative and end at Count(), every
+// sample sits at or below its bucket's bound (up to the documented
+// one-octave quantization for samples exactly on a power of two), and
+// non-positive samples occupy a leading bound-0 bucket.
 func TestHistogramLog2Buckets(t *testing.T) {
 	var h Histogram
 	if h.Log2Buckets() != nil {
