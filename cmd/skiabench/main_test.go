@@ -88,3 +88,36 @@ func TestModuleLineCount(t *testing.T) {
 		t.Fatalf("count = %d, %v", n, err)
 	}
 }
+
+// FuzzDecodeEnvelope feeds arbitrary bytes to decodeEnvelope: it must
+// return an error or an envelope, never panic, and an accepted
+// envelope's re-encoding must decode again to the same bytes. Seeds
+// (BENCH_16.json and damaged variants of it) live in testdata/fuzz;
+// run
+//
+//	go test ./cmd/skiabench -run '^$' -fuzz FuzzDecodeEnvelope
+//
+// to explore beyond them.
+func FuzzDecodeEnvelope(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := decodeEnvelope(data)
+		if err != nil {
+			return
+		}
+		first, err := json.Marshal(env)
+		if err != nil {
+			t.Fatalf("accepted envelope does not re-encode: %v", err)
+		}
+		back, err := decodeEnvelope(first)
+		if err != nil {
+			t.Fatalf("re-encoded envelope does not decode: %v\n%s", err, first)
+		}
+		second, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n!=\n%s", first, second)
+		}
+	})
+}

@@ -104,9 +104,7 @@ func main() {
 	spec := sim.RunSpec{
 		Benchmark: *bench, Config: cfg,
 		Warmup: *warmup, Measure: *measure, Label: "run",
-	}
-	if tracer != nil {
-		spec.Tracer = tracer
+		Tracer: tracer,
 	}
 	res, err := r.Run(spec)
 	if err != nil {

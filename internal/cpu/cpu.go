@@ -196,7 +196,7 @@ func (c *Core) AttachCollector(col *metrics.Collector) {
 }
 
 // SetTracer attaches (or detaches, with nil) a front-end event tracer.
-func (c *Core) SetTracer(t metrics.Tracer) { c.fe.SetTracer(t) }
+func (c *Core) SetTracer(t *metrics.RingTracer) { c.fe.SetTracer(t) }
 
 // AttachAttribution attaches (or detaches, with nil) a miss-attribution
 // engine to the front-end. Attach after warmup (alongside ResetStats)

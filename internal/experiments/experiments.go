@@ -20,7 +20,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -76,11 +75,6 @@ type Options struct {
 	// the values a sampled report's confidence intervals are gated
 	// against (skiacmp -sample-ci).
 	SampleEcho bool
-	// Context, when non-nil, bounds every simulation the harness runs:
-	// cancellation or deadline expiry aborts in-flight runs at the next
-	// instruction chunk and the harness returns an error wrapping
-	// ctx.Err(). nil means no bound.
-	Context context.Context
 }
 
 func (o Options) benchmarks() []string {
@@ -99,7 +93,6 @@ func (o Options) runner() *sim.Runner {
 	r.Checkpoint = o.Checkpoint
 	r.Checkpoints = o.Checkpoints
 	r.SampleEcho = o.SampleEcho
-	r.BaseContext = o.Context
 	return r
 }
 

@@ -165,7 +165,7 @@ type FrontEnd struct {
 	// events; every emission site nil-checks it so a disabled trace
 	// costs one comparison per event.
 	//skia:shared-ok observability attachment: Clone's contract is that clones start untraced and callers attach their own
-	tr metrics.Tracer
+	tr *metrics.RingTracer
 
 	// at, when non-nil, is the miss-attribution engine: it classifies
 	// every BTB miss into a cause and every decoder-idle cycle into a
@@ -275,7 +275,7 @@ func (f *FrontEnd) ExtraOffLines() int { return len(f.extraOffs) }
 
 // SetTracer attaches (or, with nil, detaches) an event tracer. The
 // SBB's eviction hook is wired through to the same tracer.
-func (f *FrontEnd) SetTracer(t metrics.Tracer) {
+func (f *FrontEnd) SetTracer(t *metrics.RingTracer) {
 	f.tr = t
 	f.wireHooks()
 }

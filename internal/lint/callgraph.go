@@ -5,23 +5,22 @@ import (
 	"go/types"
 )
 
-// The second-generation analyzers (clonecomplete, ctxwait, hookpure)
-// need to follow chains across package boundaries: a Clone method
-// delegating to a component's Clone, a `go s.worker(sh)` statement
-// whose cancellation discipline lives in the worker's body, a hook
-// registered with a method value whose mutations live in the method.
-// This file upgrades the loader with the two facilities that make such
-// whole-program reasoning cheap:
+// Whole-program analysis follows chains across package boundaries: a
+// Clone method delegating to a component's Clone, a hook registered
+// with a method value whose mutations live in the method. This file
+// upgrades the loader with the two facilities that make such reasoning
+// cheap:
 //
 //   - a declaration index mapping every *types.Func the checker
 //     resolved to the *ast.FuncDecl (and owning *Package) that defines
-//     it, so an analyzer holding a call site can open the callee's
-//     body, and
+//     it, so a caller holding a call site can open the callee's body
+//     (no analyzer follows calls today; TestCallGraphResolvesAcrossPackages
+//     pins that the index resolves them), and
 //   - a per-object fact store in the x/tools go/analysis spirit:
 //     analyzers publish facts about objects ("this type's Clone was
-//     proven complete", "this function observes cancellation") that
-//     later analyzers — and the self-tests proving an analyzer really
-//     covered the types it gates — can query.
+//     proven complete") that later analyzers — and the self-tests
+//     proving an analyzer really covered the types it gates — can
+//     query.
 //
 // Both are derived lazily from the one shared FileSet/type-info the
 // loader already builds; no extra parsing or checking happens.
@@ -130,7 +129,7 @@ func (p *Program) Callees(pkg *Package, body ast.Node) []*types.Func {
 
 // FactStore records analyzer-published facts about type-checked
 // objects. Keys are namespaced by convention as "analyzer.fact"
-// ("clonecomplete.complete", "ctxwait.observes"). Facts exist for the
+// ("clonecomplete.complete"). Facts exist for the
 // lifetime of one Program — exactly the scope whole-program analyzers
 // and their self-tests share.
 type FactStore struct {

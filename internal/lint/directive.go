@@ -21,7 +21,6 @@ import (
 //	//skia:nondet-ok <justification>    suppression, justification required
 //	//skia:statlock-ok <justification>  suppression, justification required
 //	//skia:shared-ok <justification>    suppression, justification required
-//	//skia:ctxwait-ok <justification>   suppression, justification required
 //	//skia:atomicmix-ok <justification> suppression, justification required
 //	//skia:hookpure-ok <justification>  suppression, justification required
 //
@@ -43,7 +42,6 @@ var skiaDirectives = map[string]bool{
 	"nondet-ok":    true,
 	"statlock-ok":  true,
 	"shared-ok":    true,
-	"ctxwait-ok":   true,
 	"atomicmix-ok": true,
 	"hookpure-ok":  true,
 }

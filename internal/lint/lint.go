@@ -1,9 +1,10 @@
-// Package lint is the simulator's static-analysis suite: five
-// invariant checkers (detmap, nondet, noalloc, conserve, statlock)
-// that enforce, at CI time, the properties the paper's published
-// figures depend on — deterministic simulation, allocation-free hot
-// paths, and counter conservation — over every package instead of the
-// single workloads the runtime tests sample.
+// Package lint is the simulator's static-analysis suite: nine
+// analyzers (detmap, nondet, noalloc, conserve, statlock,
+// clonecomplete, atomicmix, hookpure, directive) that enforce, at CI
+// time, the properties the paper's published figures depend on —
+// deterministic simulation, allocation-free hot paths, and counter
+// conservation — over every package instead of the single workloads
+// the runtime tests sample.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Diagnostic, testdata fixtures with `// want`
@@ -45,11 +46,6 @@
 //	    copied by the type's Clone method — an immutable alias,
 //	    recycling scratch, or a non-carrying observability
 //	    attachment. A justification is required.
-//
-//	//skia:ctxwait-ok <justification>
-//	    On a go statement or channel send in sim: the goroutine
-//	    or send provably cannot outlive its receiver. A justification
-//	    is required.
 //
 //	//skia:atomicmix-ok <justification>
 //	    On a plain access to a variable elsewhere accessed via
@@ -144,10 +140,10 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns the full suite in reporting order. The second
-// generation (clonecomplete, ctxwait, atomicmix, hookpure, directive)
+// generation (clonecomplete, atomicmix, hookpure, directive)
 // statically enforces the invariants the sampling era
-// introduced dynamically: checkpoint clone completeness, goroutine
-// cancellation discipline, atomics consistency, and hook purity.
+// introduced dynamically: checkpoint clone completeness, atomics
+// consistency, hook purity, and the directive grammar itself.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetMapAnalyzer,
@@ -156,7 +152,6 @@ func Analyzers() []*Analyzer {
 		ConserveAnalyzer,
 		StatLockAnalyzer,
 		CloneCompleteAnalyzer,
-		CtxWaitAnalyzer,
 		AtomicMixAnalyzer,
 		HookPureAnalyzer,
 		DirectiveAnalyzer,

@@ -10,11 +10,6 @@ func TestCloneCompleteFixtures(t *testing.T) {
 	runFixture(t, CloneCompleteAnalyzer, "clonecomplete/good")
 }
 
-func TestCtxWaitFixtures(t *testing.T) {
-	runFixture(t, CtxWaitAnalyzer, "ctxwait/bad")
-	runFixture(t, CtxWaitAnalyzer, "ctxwait/good")
-}
-
 func TestAtomicMixFixtures(t *testing.T) {
 	runFixture(t, AtomicMixAnalyzer, "atomicmix/bad")
 	runFixture(t, AtomicMixAnalyzer, "atomicmix/good")

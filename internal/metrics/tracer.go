@@ -101,17 +101,12 @@ type Event struct {
 	Arg   uint64
 }
 
-// Tracer receives events from the front-end. Implementations must be
-// cheap: Emit is called on every re-steer, miss, and shadow-decode
-// event. The front-end holds a nil-checkable Tracer, so a disabled
-// trace costs one nil comparison per event site.
-type Tracer interface {
-	Emit(Event)
-}
-
 // RingTracer records the most recent events in a fixed-capacity ring,
-// bounding memory no matter how long the run. Not safe for concurrent
-// use: attach one tracer per core.
+// bounding memory no matter how long the run. Emit is called on every
+// re-steer, miss, and shadow-decode event; the front-end holds a
+// nil-checkable *RingTracer, so a disabled trace costs one nil
+// comparison per event site. Not safe for concurrent use: attach one
+// tracer per core.
 type RingTracer struct {
 	buf   []Event
 	next  int

@@ -22,7 +22,6 @@
 package sim
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -339,15 +338,13 @@ func checkpointKey(spec RunSpec, warm uint64) (string, error) {
 // warmed master per (benchmark, config, warmup) and returns clones, so
 // a sweep re-visiting the same warmup prefix — an exact/sampled pair,
 // a re-run, a multi-seed sweep — pays warmup once.
-func (r *Runner) warmCore(ctx context.Context, spec RunSpec, w *workload.Workload, warm uint64) (*cpu.Core, error) {
+func (r *Runner) warmCore(spec RunSpec, w *workload.Workload, warm uint64) (*cpu.Core, error) {
 	if !r.Checkpoint {
 		c, err := cpu.New(spec.Config, w)
 		if err != nil {
 			return nil, err
 		}
-		if err := r.runWindow(ctx, c, warm); err != nil {
-			return nil, fmt.Errorf("sim: %s: warmup aborted: %w", spec.Benchmark, err)
-		}
+		c.Run(warm)
 		return c, nil
 	}
 	key, err := checkpointKey(spec, warm)
@@ -368,29 +365,29 @@ func (r *Runner) warmCore(ctx context.Context, spec RunSpec, w *workload.Workloa
 		if err != nil {
 			return nil, err
 		}
-		if err := r.runWindow(ctx, c, warm); err != nil {
-			return nil, fmt.Errorf("sim: %s: warmup aborted: %w", spec.Benchmark, err)
-		}
+		c.Run(warm)
 		cell.core = c
 		return c.Clone(), nil
 	}
 	return cell.core.Clone(), nil
 }
 
+// ffSlice is the instruction count of one fastForward call into the
+// core. Every FastForwardWarm call resets its line filter and resyncs
+// the RAS, TAGE and ITTAGE, so the slice length is part of the warmed
+// state a sampled run measures from: changing it changes results.
+const ffSlice = 2_097_152
+
 // fastForward advances the core functionally by n instructions in
-// cancellation-polled chunks — with functional warming unless the plan
-// opts out. Functional stepping is an order of magnitude faster than
-// detail, so the chunk is proportionally larger.
-func (r *Runner) fastForward(ctx context.Context, c *cpu.Core, n uint64, cold bool) (uint64, error) {
-	const ffChunk = 8 * ctxCheckChunk
+// ffSlice slices — with functional warming unless the plan opts out —
+// and returns how many it skipped, fewer than n only if the workload
+// halted.
+func fastForward(c *cpu.Core, n uint64, cold bool) uint64 {
 	var skipped uint64
 	for skipped < n {
-		if err := ctx.Err(); err != nil {
-			return skipped, err
-		}
 		step := n - skipped
-		if step > ffChunk {
-			step = ffChunk
+		if step > ffSlice {
+			step = ffSlice
 		}
 		var ran uint64
 		if cold {
@@ -403,7 +400,7 @@ func (r *Runner) fastForward(ctx context.Context, c *cpu.Core, n uint64, cold bo
 			break // workload halted
 		}
 	}
-	return skipped, ctx.Err()
+	return skipped
 }
 
 // intervalOutcome is one measurement interval's result and its
@@ -425,7 +422,7 @@ type intervalOutcome struct {
 // every downstream interval result — independent of the shard count.
 // Returned deltas are the per-snapshot skip distances, for the
 // conservation counters.
-func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan SamplePlan, meas uint64) ([]*cpu.Core, []uint64, error) {
+func buildSnapshots(master *cpu.Core, plan SamplePlan, meas uint64) ([]*cpu.Core, []uint64) {
 	snaps := make([]*cpu.Core, plan.Intervals)
 	deltas := make([]uint64, plan.Intervals)
 	var pos uint64
@@ -442,18 +439,10 @@ func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan Samp
 				// Bounded warming horizon: cover the far distance cold,
 				// then warm the final WarmWindow instructions.
 				cold := d - plan.WarmWindow
-				skipped, err := r.fastForward(ctx, master, cold, true)
-				deltas[i] += skipped
-				if err != nil {
-					return nil, nil, fmt.Errorf("interval %d: fast-forward aborted: %w", i, err)
-				}
+				deltas[i] += fastForward(master, cold, true)
 				warm = plan.WarmWindow
 			}
-			skipped, err := r.fastForward(ctx, master, warm, plan.ColdSkip)
-			deltas[i] += skipped
-			if err != nil {
-				return nil, nil, fmt.Errorf("interval %d: fast-forward aborted: %w", i, err)
-			}
+			deltas[i] += fastForward(master, warm, plan.ColdSkip)
 			pos = target
 		}
 		// A zero-distance snapshot (interval 0 pinned at the warmup
@@ -461,7 +450,7 @@ func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan Samp
 		// all, exactly like exact measurement continuing from warmup.
 		snaps[i] = master.Clone()
 	}
-	return snaps, deltas, nil
+	return snaps, deltas
 }
 
 // runInterval executes one measurement interval on its prepared
@@ -469,7 +458,7 @@ func (r *Runner) buildSnapshots(ctx context.Context, master *cpu.Core, plan Samp
 // Each snapshot is consumed by exactly one interval, and the outcome is
 // a pure function of (snapshot, plan), which together with the serial
 // snapshot pass makes sharding shard-count-invariant.
-func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, plan SamplePlan, meas uint64, i int) (intervalOutcome, error) {
+func (r *Runner) runInterval(spec RunSpec, c *cpu.Core, plan SamplePlan, meas uint64, i int) (intervalOutcome, error) {
 	var out intervalOutcome
 	start := plan.intervalStart(i, meas)
 	mw := plan.MicroWarmup
@@ -477,11 +466,9 @@ func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, pla
 		mw = start
 	}
 	before := c.Retired()
-	if err := r.runWindow(ctx, c, mw); err != nil {
-		return out, fmt.Errorf("interval %d: micro-warmup aborted: %w", i, err)
-	}
+	c.Run(mw)
 	out.stats.MicroWarmupInstructions = c.Retired() - before
-	res, err := r.measure(ctx, spec, c, plan.IntervalInsts)
+	res, err := r.measure(spec, c, plan.IntervalInsts)
 	if err != nil {
 		return out, fmt.Errorf("interval %d: %w", i, err)
 	}
@@ -499,7 +486,7 @@ func (r *Runner) runInterval(ctx context.Context, spec RunSpec, c *cpu.Core, pla
 // window's instruction axis, and attaches per-metric confidence
 // intervals. detailInsts is the detail work actually executed, for
 // throughput accounting.
-func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core, plan SamplePlan, meas uint64) (res Result, detailInsts uint64, err error) {
+func (r *Runner) runSampled(spec RunSpec, master *cpu.Core, plan SamplePlan, meas uint64) (res Result, detailInsts uint64, err error) {
 	if spec.Tracer != nil {
 		return Result{}, 0, errors.New("sampling does not support tracing (the spliced stream has no single cycle axis)")
 	}
@@ -507,10 +494,7 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 		return Result{}, 0, errors.New("sampling does not support attribution; run exact for attribution studies")
 	}
 	K := plan.Intervals
-	snaps, deltas, err := r.buildSnapshots(ctx, master, plan, meas)
-	if err != nil {
-		return Result{}, 0, err
-	}
+	snaps, deltas := buildSnapshots(master, plan, meas)
 	outs := make([]intervalOutcome, K)
 	errs := make([]error, K)
 	shards := plan.Shards
@@ -523,7 +507,7 @@ func (r *Runner) runSampled(ctx context.Context, spec RunSpec, master *cpu.Core,
 		go func(s int) {
 			defer wg.Done()
 			for i := s; i < K; i += shards {
-				outs[i], errs[i] = r.runInterval(ctx, spec, snaps[i], plan, meas, i)
+				outs[i], errs[i] = r.runInterval(spec, snaps[i], plan, meas, i)
 				outs[i].stats.SkippedInstructions = deltas[i]
 				outs[i].stats.AdvancedInstructions += deltas[i]
 				snaps[i] = nil // release the snapshot's memory promptly

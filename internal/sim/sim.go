@@ -5,7 +5,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -58,7 +57,7 @@ type RunSpec struct {
 	// Tracer, when non-nil, receives front-end events during the
 	// measurement window. Each spec needs its own tracer: cores are
 	// not safe for concurrent use and RunAll runs specs in parallel.
-	Tracer metrics.Tracer
+	Tracer *metrics.RingTracer
 }
 
 // Result pairs a cpu.Result with its spec label.
@@ -160,11 +159,6 @@ type Runner struct {
 	// intervals. It exists so a CI job can diff a sampled sweep against
 	// an exact one with skiacmp -sample-ci over identical keys.
 	SampleEcho bool
-	// BaseContext, when non-nil, bounds every Run and RunAll call that
-	// does not receive an explicit context: cancellation or deadline
-	// expiry aborts simulations between instruction chunks. nil means
-	// context.Background().
-	BaseContext context.Context
 
 	// All capture below is guarded by mu: Run is called from RunAll's
 	// worker goroutines, and each run's collector lives privately in
@@ -272,78 +266,25 @@ func (r *Runner) Stats() RunnerStats {
 	return st
 }
 
-// ctxCheckChunk is the instruction granularity at which RunContext
-// polls for cancellation. Chunking the cpu.Core.Run window is exact:
-// the core's loop only depends on the cumulative retire target, so N
-// chunked calls retire the same instructions in the same cycles as one
-// call (pinned by TestRunContextChunkingExact).
-const ctxCheckChunk = 262_144
-
-// baseContext resolves the runner's ambient context.
-func (r *Runner) baseContext() context.Context {
-	if r.BaseContext != nil {
-		return r.BaseContext
-	}
-	return context.Background()
-}
-
-// runWindow advances the core by n instructions in ctxCheckChunk
-// slices, aborting between slices once ctx is done. It stops early if
-// the workload ends (the core refuses to retire more). Slices aim at
-// an absolute retired-instruction target: cpu.Core.Run may overshoot
-// each call by up to the retire width, so per-slice deltas would
-// compound into extra instructions, while re-deriving the remainder
-// from the absolute target keeps chunked execution bit-identical to a
-// single Run call.
-func (r *Runner) runWindow(ctx context.Context, c *cpu.Core, n uint64) error {
-	target := c.Retired() + n
-	for c.Retired() < target {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step := target - c.Retired()
-		if step > ctxCheckChunk {
-			step = ctxCheckChunk
-		}
-		if c.Run(step) == 0 {
-			break // workload exhausted
-		}
-	}
-	return ctx.Err()
-}
-
 // Run executes one simulation: build core, warm up, reset statistics,
-// measure. It is RunContext under the runner's BaseContext.
+// measure. An error books nothing into the runner's timing counters.
 func (r *Runner) Run(spec RunSpec) (Result, error) {
-	return r.RunContext(r.baseContext(), spec)
-}
-
-// RunContext executes one simulation under ctx: build core, warm up,
-// reset statistics, measure. Cancellation is polled every
-// ctxCheckChunk simulated instructions; an aborted run returns an
-// error wrapping ctx.Err() (test with errors.Is against
-// context.Canceled / context.DeadlineExceeded) and books nothing into
-// the runner's timing counters.
-func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 	//skia:nondet-ok wall-clock brackets the run for throughput reporting; no simulated state depends on it
 	start := time.Now()
-	if err := ctx.Err(); err != nil {
-		return Result{}, fmt.Errorf("sim: %s: %w", spec.Benchmark, err)
-	}
 	w, err := r.Workload(spec.Benchmark)
 	if err != nil {
 		return Result{}, err
 	}
 	warm, meas := Windows(spec.Warmup, spec.Measure)
-	c, err := r.warmCore(ctx, spec, w, warm)
+	c, err := r.warmCore(spec, w, warm)
 	if err != nil {
 		return Result{}, err
 	}
 	var out Result
 	detail := meas
 	if r.Sample != nil {
-		out, detail, err = r.runSampled(ctx, spec, c, r.Sample.normalized(meas), meas)
-	} else if out, err = r.measure(ctx, spec, c, meas); err == nil && r.SampleEcho {
+		out, detail, err = r.runSampled(spec, c, r.Sample.normalized(meas), meas)
+	} else if out, err = r.measure(spec, c, meas); err == nil && r.SampleEcho {
 		out.Sampling = exactEcho(&out.Result, meas)
 	}
 	if err != nil {
@@ -362,7 +303,7 @@ func (r *Runner) RunContext(ctx context.Context, spec RunSpec) (Result, error) {
 // the collector. Observers are private to this call — RunAll's workers
 // never share one — so capture stays race-free; only record() touches
 // runner state, under the mutex.
-func (r *Runner) measure(ctx context.Context, spec RunSpec, c *cpu.Core, n uint64) (Result, error) {
+func (r *Runner) measure(spec RunSpec, c *cpu.Core, n uint64) (Result, error) {
 	c.ResetStats()
 	var col *metrics.Collector
 	if r.Interval > 0 {
@@ -377,9 +318,7 @@ func (r *Runner) measure(ctx context.Context, spec RunSpec, c *cpu.Core, n uint6
 		eng = attrib.NewEngine()
 		c.AttachAttribution(eng)
 	}
-	if err := r.runWindow(ctx, c, n); err != nil {
-		return Result{}, fmt.Errorf("measurement aborted: %w", err)
-	}
+	c.Run(n)
 	if err := c.Frontend().Err(); err != nil {
 		return Result{}, err
 	}
@@ -423,17 +362,8 @@ func (r *Runner) AttributionSummaries() []SpecAttribution {
 // returns results in spec order. Every spec runs to completion even
 // when siblings fail; the returned error joins one entry per failed
 // spec (benchmark and label named), and the result slice still carries
-// the successful entries (failed slots are zero-valued). It is
-// RunAllContext under the runner's BaseContext.
+// the successful entries (failed slots are zero-valued).
 func (r *Runner) RunAll(specs []RunSpec) ([]Result, error) {
-	return r.RunAllContext(r.baseContext(), specs)
-}
-
-// RunAllContext is RunAll under an explicit context. Once ctx is done,
-// in-flight specs abort at their next chunk boundary and queued specs
-// fail immediately without simulating; each affected slot's error
-// wraps ctx.Err().
-func (r *Runner) RunAllContext(ctx context.Context, specs []RunSpec) ([]Result, error) {
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -449,17 +379,9 @@ func (r *Runner) RunAllContext(ctx context.Context, specs []RunSpec) ([]Result, 
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// A bare semaphore send would park every queued spec forever
-			// if the context died while the in-flight ones held all the
-			// slots; a cancelled spec must fail without waiting its turn.
-			select {
-			case sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = fmt.Errorf("aborted before start: %w", ctx.Err())
-				return
-			}
+			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i], errs[i] = r.RunContext(ctx, specs[i])
+			results[i], errs[i] = r.Run(specs[i])
 		}(i)
 	}
 	wg.Wait()

@@ -59,6 +59,47 @@ func TestRunBasic(t *testing.T) {
 	}
 }
 
+// TestRunMatchesDirectCoreRun pins Runner.Run to one direct
+// cpu.Core.Run call per window: same cycles, same IPC, same front-end
+// counters. The windows are not multiples of any power-of-two slice
+// (262,144 included), so a runner that advanced the core in slices and
+// let each slice's retire-width overshoot compound would diverge.
+func TestRunMatchesDirectCoreRun(t *testing.T) {
+	spec := RunSpec{
+		Benchmark: "voter",
+		Config:    cpu.SkiaConfig(),
+		Warmup:    262_144 + 12_345,
+		Measure:   2*262_144 + 6_789,
+		Label:     "skia",
+	}
+	a, err := NewRunner().Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := func() Result {
+		r := NewRunner()
+		w, err := r.Workload(spec.Benchmark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cpu.New(spec.Config, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run(spec.Warmup)
+		c.ResetStats()
+		c.Run(spec.Measure)
+		return Result{Result: c.Result(spec.Benchmark), Label: spec.Label}
+	}()
+	if a.Cycles != b.Cycles || a.IPC != b.IPC {
+		t.Errorf("runner diverged from direct core: cycles %d vs %d, IPC %v vs %v",
+			a.Cycles, b.Cycles, a.IPC, b.IPC)
+	}
+	if a.FE != b.FE {
+		t.Errorf("front-end stats diverged:\n%+v\n!=\n%+v", a.FE, b.FE)
+	}
+}
+
 func TestRunDefaultsApplied(t *testing.T) {
 	r := NewRunner()
 	spec := quickSpec("d", false)

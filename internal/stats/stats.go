@@ -1,7 +1,7 @@
-// Package stats provides the counters and derived metrics shared by
-// every simulator component: misses per kilo-instruction, IPC, geometric
-// means over benchmark suites, and plain-text table rendering for the
-// experiment harnesses in internal/experiments.
+// Package stats provides the derived metrics shared by every simulator
+// component: misses per kilo-instruction, IPC, geometric means over
+// benchmark suites, streaming histograms, and plain-text table
+// rendering for the experiment harnesses in internal/experiments.
 package stats
 
 import (
@@ -88,72 +88,6 @@ func Mean(xs []float64) float64 {
 // Percent formats a fraction as a signed percentage with two decimals.
 func Percent(frac float64) string {
 	return fmt.Sprintf("%+.2f%%", frac*100)
-}
-
-// Counter is a named monotonically-increasing event count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Set is an ordered collection of named counters. The zero value is
-// ready to use.
-type Set struct {
-	order []string
-	vals  map[string]uint64
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{vals: make(map[string]uint64)}
-}
-
-// Add increments the named counter by n, creating it on first use.
-func (s *Set) Add(name string, n uint64) {
-	if s.vals == nil {
-		s.vals = make(map[string]uint64)
-	}
-	if _, ok := s.vals[name]; !ok {
-		s.order = append(s.order, name)
-	}
-	s.vals[name] += n
-}
-
-// Inc increments the named counter by one.
-func (s *Set) Inc(name string) { s.Add(name, 1) }
-
-// Get returns the counter value, 0 if absent.
-func (s *Set) Get(name string) uint64 {
-	if s.vals == nil {
-		return 0
-	}
-	return s.vals[name]
-}
-
-// Counters returns the counters in insertion order.
-func (s *Set) Counters() []Counter {
-	out := make([]Counter, 0, len(s.order))
-	for _, n := range s.order {
-		out = append(out, Counter{Name: n, Value: s.vals[n]})
-	}
-	return out
-}
-
-// Reset zeroes all counters while preserving their registration order.
-func (s *Set) Reset() {
-	for k := range s.vals {
-		s.vals[k] = 0
-	}
-}
-
-// Merge adds all of other's counters into s.
-func (s *Set) Merge(other *Set) {
-	if other == nil {
-		return
-	}
-	for _, c := range other.Counters() {
-		s.Add(c.Name, c.Value)
-	}
 }
 
 // CellKind discriminates the two Table cell types carried through the
@@ -476,36 +410,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[bucketKey(v)]++
 }
 
-// Merge folds every sample recorded in other into h, leaving other
-// unchanged. The merge is exact with respect to the histogram's own
-// storage: bucket counts, the non-positive lane, count, sum, and the
-// min/max extremes all add, so quantiles of the merged histogram equal
-// quantiles of a histogram that observed both sample streams directly
-// (merge-then-quantile == quantile-of-merged), so per-shard
-// histograms roll up without re-observing raw samples.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.count == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.sum += other.sum
-	h.nonPos += other.nonPos
-	h.nonPosSum += other.nonPosSum
-	if len(other.buckets) > 0 && h.buckets == nil {
-		h.buckets = make(map[int]uint64, len(other.buckets))
-	}
-	//skia:detmap-ok commutative += accumulation; no ordered output
-	for k, n := range other.buckets {
-		h.buckets[k] += n
-	}
-}
-
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return int(h.count) }
 
@@ -554,59 +458,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Sum returns the exact sum of observed samples (0 when empty).
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Bucket is one cumulative bucket of an exported histogram view:
-// Count samples were ≤ UpperBound. The slice form is the
-// Prometheus-style cumulative rendering.
-type Bucket struct {
-	// UpperBound is the bucket's upper bound.
-	UpperBound float64
-	// Count is cumulative: the number of samples at or below
-	// UpperBound (up to the log2 quantization noted on Log2Buckets).
-	Count uint64
-}
-
-// Log2Buckets exports the histogram as cumulative power-of-two
-// buckets, ascending, ending with a bucket whose Count equals Count().
-// Non-positive samples report under an UpperBound-0 bucket; each
-// positive sample v lands in the bucket with UpperBound 2^ceil(log2 v)
-// — samples exactly on a power of two are counted one bucket up, an
-// at-most-one-octave quantization that matches the histogram's
-// internal log-linear storage. Returns nil when empty.
-func (h *Histogram) Log2Buckets() []Bucket {
-	if h.count == 0 {
-		return nil
-	}
-	// Merge the 32 linear sub-buckets of each octave into one bound.
-	byExp := make(map[int]uint64)
-	//skia:detmap-ok commutative += accumulation; exps are sorted before any ordered output
-	for k, n := range h.buckets {
-		exp := k / histSubBuckets
-		if k < 0 && k%histSubBuckets != 0 { // Go truncates toward zero
-			exp--
-		}
-		byExp[exp] += n
-	}
-	exps := make([]int, 0, len(byExp))
-	for e := range byExp {
-		exps = append(exps, e)
-	}
-	sort.Ints(exps)
-	out := make([]Bucket, 0, len(exps)+1)
-	var cum uint64
-	if h.nonPos > 0 {
-		cum = h.nonPos
-		out = append(out, Bucket{UpperBound: 0, Count: cum})
-	}
-	for _, e := range exps {
-		cum += byExp[e]
-		out = append(out, Bucket{UpperBound: math.Ldexp(1, e), Count: cum})
-	}
-	return out
 }
 
 // Mean returns the exact arithmetic mean of observed samples.

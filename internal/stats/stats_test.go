@@ -110,56 +110,6 @@ func TestPercent(t *testing.T) {
 	}
 }
 
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Inc("a")
-	s.Add("b", 5)
-	s.Inc("a")
-	if got := s.Get("a"); got != 2 {
-		t.Errorf("a = %d", got)
-	}
-	if got := s.Get("b"); got != 5 {
-		t.Errorf("b = %d", got)
-	}
-	if got := s.Get("missing"); got != 0 {
-		t.Errorf("missing = %d", got)
-	}
-	cs := s.Counters()
-	if len(cs) != 2 || cs[0].Name != "a" || cs[1].Name != "b" {
-		t.Errorf("Counters order = %+v", cs)
-	}
-	s.Reset()
-	if s.Get("a") != 0 || s.Get("b") != 0 {
-		t.Error("Reset did not zero values")
-	}
-	// order preserved after reset
-	cs = s.Counters()
-	if len(cs) != 2 || cs[0].Name != "a" {
-		t.Errorf("order lost after reset: %+v", cs)
-	}
-}
-
-func TestSetZeroValue(t *testing.T) {
-	var s Set
-	s.Inc("x")
-	if s.Get("x") != 1 {
-		t.Error("zero-value Set should work")
-	}
-}
-
-func TestSetMerge(t *testing.T) {
-	a := NewSet()
-	a.Add("x", 1)
-	b := NewSet()
-	b.Add("x", 2)
-	b.Add("y", 3)
-	a.Merge(b)
-	if a.Get("x") != 3 || a.Get("y") != 3 {
-		t.Errorf("merge got x=%d y=%d", a.Get("x"), a.Get("y"))
-	}
-	a.Merge(nil) // must not panic
-}
-
 func TestTable(t *testing.T) {
 	tb := NewTable("bench", "ipc")
 	tb.AddRow("kafka", "0.91")
@@ -289,102 +239,6 @@ func TestHistogramNonPositive(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEqualsDirectObservation is the merge property a
-// roll-up of per-shard histograms relies on: splitting a sample
-// stream across K histograms and merging them is indistinguishable —
-// exactly, not within tolerance — from observing the whole stream into
-// one histogram. Checked across split counts, orderings, and a stream
-// mixing six orders of magnitude with non-positive samples.
-func TestHistogramMergeEqualsDirectObservation(t *testing.T) {
-	// Deterministic mixed stream: log-spread positives plus a sprinkle
-	// of zeros and negatives (the shared non-positive lane).
-	var samples []float64
-	x := uint64(98765)
-	for i := 0; i < 20_000; i++ {
-		x = x*6364136223846793005 + 1442695040888963407 // LCG
-		v := math.Exp(float64(x%1_000_000)/1_000_000*13.8) * 0.01
-		if x%17 == 0 {
-			v = -v * 0.001
-		} else if x%19 == 0 {
-			v = 0
-		}
-		samples = append(samples, v)
-	}
-	var direct Histogram
-	for _, v := range samples {
-		direct.Observe(v)
-	}
-	quantiles := []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1}
-	for _, parts := range []int{1, 2, 3, 7, 16} {
-		shards := make([]Histogram, parts)
-		for i, v := range samples {
-			shards[i%parts].Observe(v)
-		}
-		var merged Histogram
-		// Merge back-to-front so the test also covers "merge into an
-		// already-populated histogram" for every shard but the last.
-		for i := parts - 1; i >= 0; i-- {
-			merged.Merge(&shards[i])
-		}
-		if merged.Count() != direct.Count() {
-			t.Fatalf("parts=%d: count %d != %d", parts, merged.Count(), direct.Count())
-		}
-		if merged.Sum() != direct.Sum() {
-			// Shard sums add in a different order; allow only float
-			// reassociation noise, nothing structural.
-			if math.Abs(merged.Sum()-direct.Sum()) > 1e-9*math.Abs(direct.Sum()) {
-				t.Fatalf("parts=%d: sum %v != %v", parts, merged.Sum(), direct.Sum())
-			}
-		}
-		if merged.Min() != direct.Min() || merged.Max() != direct.Max() {
-			t.Fatalf("parts=%d: min/max %v/%v != %v/%v", parts,
-				merged.Min(), merged.Max(), direct.Min(), direct.Max())
-		}
-		for _, q := range quantiles {
-			got, want := merged.Quantile(q), direct.Quantile(q)
-			// Positive quantiles are bit-exact (bucket counts add).
-			// Quantiles landing in the shared non-positive lane report
-			// that lane's mean, whose sum reassociates across shards —
-			// permit only float rounding there, nothing structural.
-			if got != want && math.Abs(got-want) > 1e-12*math.Abs(want) {
-				t.Fatalf("parts=%d q=%v: merge-then-quantile %v != quantile-of-merged %v",
-					parts, q, got, want)
-			}
-		}
-		if !reflect.DeepEqual(merged.Log2Buckets(), direct.Log2Buckets()) {
-			t.Fatalf("parts=%d: bucket views differ", parts)
-		}
-	}
-}
-
-// TestHistogramMergeEdgeCases pins merge behavior at the boundaries:
-// empty and nil operands are no-ops, and merging into an empty
-// histogram copies counts without disturbing the source.
-func TestHistogramMergeEdgeCases(t *testing.T) {
-	var a, b Histogram
-	a.Observe(3)
-	a.Merge(&b) // empty source: no-op
-	a.Merge(nil)
-	if a.Count() != 1 || a.Min() != 3 || a.Max() != 3 {
-		t.Errorf("merge of empty/nil disturbed the target: %+v", a)
-	}
-	b.Merge(&a) // into empty target
-	if b.Count() != 1 || b.Quantile(0.5) != 3 {
-		t.Errorf("merge into empty target: count=%d median=%v", b.Count(), b.Quantile(0.5))
-	}
-	if a.Count() != 1 {
-		t.Error("merge mutated its source")
-	}
-	// Self-merge via an independent copy (Merge into a fresh histogram
-	// deep-copies the buckets) doubles every count.
-	var c Histogram
-	c.Merge(&a)
-	a.Merge(&c)
-	if a.Count() != 2 || a.Quantile(1) != 3 {
-		t.Errorf("merge of copied self: count=%d max=%v", a.Count(), a.Quantile(1))
-	}
-}
-
 func TestHistogramQuantileMonotonic(t *testing.T) {
 	var h Histogram
 	for _, v := range []float64{5, 1, 9, 3, 7, 2} {
@@ -485,61 +339,5 @@ func TestEmptyTableJSON(t *testing.T) {
 	}
 	if back.NumRows() != 0 || len(back.Columns()) != 2 {
 		t.Errorf("empty table mangled: %+v", back)
-	}
-}
-
-// TestHistogramLog2Buckets pins the cumulative power-of-two export:
-// bounds ascend, counts are cumulative and end at Count(), every
-// sample sits at or below its bucket's bound (up to the documented
-// one-octave quantization for samples exactly on a power of two), and
-// non-positive samples occupy a leading bound-0 bucket.
-func TestHistogramLog2Buckets(t *testing.T) {
-	var h Histogram
-	if h.Log2Buckets() != nil {
-		t.Error("empty histogram should export nil buckets")
-	}
-	samples := []float64{0.3, 0.7, 1.5, 1.5, 3, 6, 6.5, 100, -2, 0}
-	var sum float64
-	for _, v := range samples {
-		h.Observe(v)
-		sum += v
-	}
-	if got := h.Sum(); !almostEqual(got, sum) {
-		t.Errorf("Sum = %v, want %v", got, sum)
-	}
-	bk := h.Log2Buckets()
-	if len(bk) == 0 {
-		t.Fatal("no buckets")
-	}
-	if bk[0].UpperBound != 0 || bk[0].Count != 2 {
-		t.Errorf("non-positive bucket = %+v, want bound 0 count 2", bk[0])
-	}
-	for i := 1; i < len(bk); i++ {
-		if bk[i].UpperBound <= bk[i-1].UpperBound {
-			t.Errorf("bounds not ascending: %v after %v", bk[i].UpperBound, bk[i-1].UpperBound)
-		}
-		if bk[i].Count < bk[i-1].Count {
-			t.Errorf("counts not cumulative: %d after %d", bk[i].Count, bk[i-1].Count)
-		}
-		if frac, _ := math.Frexp(bk[i].UpperBound); frac != 0.5 {
-			t.Errorf("bound %v is not a power of two", bk[i].UpperBound)
-		}
-	}
-	last := bk[len(bk)-1]
-	if last.Count != uint64(h.Count()) {
-		t.Errorf("final cumulative count %d != Count() %d", last.Count, h.Count())
-	}
-	// Cross-check each cumulative count against the raw samples, with
-	// the documented power-of-two edge counting one bucket up.
-	for _, b := range bk {
-		var want uint64
-		for _, v := range samples {
-			if v < b.UpperBound || v <= 0 && b.UpperBound >= 0 {
-				want++
-			}
-		}
-		if b.Count != want {
-			t.Errorf("bucket le=%v count=%d, want %d", b.UpperBound, b.Count, want)
-		}
 	}
 }
