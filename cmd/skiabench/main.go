@@ -369,18 +369,24 @@ func gitDescribe() string {
 }
 
 // gate compares a run against a baseline envelope; it returns one
-// message per regression beyond maxRegress.
+// message per regression beyond maxRegress, or a failure when nothing
+// was compared: the baseline has no entries, or no run entry names one.
 func gate(base, head *Envelope, maxRegress float64) []string {
+	if len(base.Entries) == 0 {
+		return []string{"baseline has no entries: nothing to gate against"}
+	}
 	byName := make(map[string]Entry, len(base.Entries))
 	for _, e := range base.Entries {
 		byName[e.Name] = e
 	}
 	var fails []string
+	gated := 0
 	for _, e := range head.Entries {
 		b, ok := byName[e.Name]
 		if !ok {
 			continue // new benchmark: nothing to regress against
 		}
+		gated++
 		if b.NsPerOp > 0 && e.NsPerOp > b.NsPerOp*(1+maxRegress) {
 			fails = append(fails, fmt.Sprintf("%s: ns/op %.0f -> %.0f (+%.1f%%, limit +%.0f%%)",
 				e.Name, b.NsPerOp, e.NsPerOp, (e.NsPerOp/b.NsPerOp-1)*100, maxRegress*100))
@@ -392,6 +398,9 @@ func gate(base, head *Envelope, maxRegress float64) []string {
 				e.Name, b.AllocsPerOp, e.AllocsPerOp,
 				(float64(e.AllocsPerOp)/float64(b.AllocsPerOp)-1)*100, maxRegress*100))
 		}
+	}
+	if gated == 0 {
+		fails = append(fails, "no benchmark run names a baseline entry: nothing was gated")
 	}
 	return fails
 }
@@ -492,7 +501,7 @@ func main() {
 		fails := gate(base, env, *maxRegress)
 		if len(fails) > 0 {
 			for _, f := range fails {
-				fmt.Fprintf(os.Stderr, "REGRESSION %s\n", f)
+				fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
 			}
 			os.Exit(1)
 		}

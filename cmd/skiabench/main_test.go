@@ -41,6 +41,28 @@ func TestDecodeEnvelopeRejects(t *testing.T) {
 	}
 }
 
+// TestGateFailsWhenNothingIsGated: an empty baseline, or a run whose
+// entries the baseline does not name, must fail the gate rather than
+// pass it vacuously; a matched entry within bounds passes.
+func TestGateFailsWhenNothingIsGated(t *testing.T) {
+	entry := Entry{Name: "frontend-cycle", NsPerOp: 100, AllocsPerOp: 1}
+	run := &Envelope{Entries: []Entry{entry}}
+	for _, c := range []struct {
+		name      string
+		base, run *Envelope
+		fails     int
+	}{
+		{"empty baseline", &Envelope{}, run, 1},
+		{"empty run", run, &Envelope{}, 1},
+		{"no shared entry", &Envelope{Entries: []Entry{{Name: "fig14-reduced", NsPerOp: 100}}}, run, 1},
+		{"matched and within", run, run, 0},
+	} {
+		if got := gate(c.base, c.run, 0.25); len(got) != c.fails {
+			t.Errorf("%s: gate = %q, want %d failures", c.name, got, c.fails)
+		}
+	}
+}
+
 // TestCountNonTestLines: test files, testdata and nested modules are
 // skipped; every other .go file counts by newline.
 func TestCountNonTestLines(t *testing.T) {

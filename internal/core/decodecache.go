@@ -10,9 +10,9 @@
 // To stay invisible, each entry stores not just the extracted branches
 // but the full observable side effect of the decode: the SBDStats
 // deltas (region counted, discarded/no-valid-path flags, branch count)
-// and the path-family count reported through the OnHeadPaths hook. A
-// hit replays all of them, so a run with the memo enabled is
-// bit-identical — report JSON included — to a run without it.
+// and the path-family count SBD.HeadFamilies reports. A hit replays all
+// of them, so a run with the memo enabled is bit-identical — report
+// JSON included — to a run without it.
 //
 // The memo never forgets. The front end decodes only lines inside the
 // program image, so it holds at most program lines × 64 offsets × 2

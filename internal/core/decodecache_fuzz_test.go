@@ -8,7 +8,7 @@ import (
 
 // FuzzDecodeCacheMatchesFresh decodes the head and tail regions of an
 // arbitrary line twice through a memoizing SBD — a miss, then a hit —
-// and requires branches, SBDStats, and OnHeadPaths observations to
+// and requires branches, SBDStats, and recorded head family counts to
 // match an SBD without a memo. Seeds live in testdata/fuzz; run
 //
 //	go test ./internal/core -run '^$' -fuzz FuzzDecodeCacheMatchesFresh
@@ -25,15 +25,17 @@ func FuzzDecodeCacheMatchesFresh(f *testing.F) {
 		cached := NewSBD(DefaultSBDConfig())
 		cached.AttachCache(NewDecodeCache())
 		fresh := NewSBD(DefaultSBDConfig())
-		var cachedFam, freshFam []int
-		cached.OnHeadPaths = func(n int) { cachedFam = append(cachedFam, n) }
-		fresh.OnHeadPaths = func(n int) { freshFam = append(freshFam, n) }
 
 		for rep := 0; rep < 2; rep++ {
 			gotH := cached.DecodeHead(line, lineAddr, entryOff, nil)
 			wantH := fresh.DecodeHead(line, lineAddr, entryOff, nil)
 			if !sameBranches(gotH, wantH) {
 				t.Fatalf("rep %d: head at %d: cached %v fresh %v", rep, entryOff, gotH, wantH)
+			}
+			gotN, gotOK := cached.HeadFamilies()
+			wantN, wantOK := fresh.HeadFamilies()
+			if gotN != wantN || gotOK != wantOK {
+				t.Fatalf("rep %d: head families at %d: cached %d,%v fresh %d,%v", rep, entryOff, gotN, gotOK, wantN, wantOK)
 			}
 			gotT := cached.DecodeTail(line, lineAddr, startOff, nil)
 			wantT := fresh.DecodeTail(line, lineAddr, startOff, nil)
@@ -43,14 +45,6 @@ func FuzzDecodeCacheMatchesFresh(f *testing.F) {
 		}
 		if cached.Stats() != fresh.Stats() {
 			t.Fatalf("stats diverged: cached %+v fresh %+v", cached.Stats(), fresh.Stats())
-		}
-		if len(cachedFam) != len(freshFam) {
-			t.Fatalf("OnHeadPaths call counts differ: %v vs %v", cachedFam, freshFam)
-		}
-		for i := range cachedFam {
-			if cachedFam[i] != freshFam[i] {
-				t.Fatalf("OnHeadPaths observation %d differs: %v vs %v", i, cachedFam, freshFam)
-			}
 		}
 	})
 }

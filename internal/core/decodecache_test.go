@@ -25,8 +25,8 @@ func randLine(rng *rand.Rand) []byte {
 
 // TestDecodeCacheMatchesFreshDecodes is the property test: across
 // randomized lines and offsets, a cached SBD must produce branch
-// sequences, statistics, and OnHeadPaths observations identical to an
-// uncached SBD — on the first (miss) and every repeated (hit) decode.
+// sequences, statistics, and recorded head family counts identical to
+// an uncached SBD — on the first (miss) and every repeated (hit) decode.
 func TestDecodeCacheMatchesFreshDecodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cfg := DefaultSBDConfig()
@@ -34,10 +34,6 @@ func TestDecodeCacheMatchesFreshDecodes(t *testing.T) {
 	cached := NewSBD(cfg)
 	cached.AttachCache(NewDecodeCache())
 	fresh := NewSBD(cfg)
-
-	var cachedFam, freshFam []int
-	cached.OnHeadPaths = func(n int) { cachedFam = append(cachedFam, n) }
-	fresh.OnHeadPaths = func(n int) { freshFam = append(freshFam, n) }
 
 	for trial := 0; trial < 200; trial++ {
 		line := randLine(rng)
@@ -52,6 +48,11 @@ func TestDecodeCacheMatchesFreshDecodes(t *testing.T) {
 			if !sameBranches(gotH, wantH) {
 				t.Fatalf("trial %d rep %d: head mismatch: cached %v fresh %v", trial, rep, gotH, wantH)
 			}
+			gotN, gotOK := cached.HeadFamilies()
+			wantN, wantOK := fresh.HeadFamilies()
+			if gotN != wantN || gotOK != wantOK {
+				t.Fatalf("trial %d rep %d: head families: cached %d,%v fresh %d,%v", trial, rep, gotN, gotOK, wantN, wantOK)
+			}
 			gotT := cached.DecodeTail(line, lineAddr, startOff, nil)
 			wantT := fresh.DecodeTail(line, lineAddr, startOff, nil)
 			if !sameBranches(gotT, wantT) {
@@ -60,14 +61,6 @@ func TestDecodeCacheMatchesFreshDecodes(t *testing.T) {
 		}
 		if cached.Stats() != fresh.Stats() {
 			t.Fatalf("trial %d: stats diverged: cached %+v fresh %+v", trial, cached.Stats(), fresh.Stats())
-		}
-	}
-	if len(cachedFam) != len(freshFam) {
-		t.Fatalf("OnHeadPaths call counts differ: %d vs %d", len(cachedFam), len(freshFam))
-	}
-	for i := range cachedFam {
-		if cachedFam[i] != freshFam[i] {
-			t.Fatalf("OnHeadPaths observation %d differs: %d vs %d", i, cachedFam[i], freshFam[i])
 		}
 	}
 	cs := cached.cache.Stats()

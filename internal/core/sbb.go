@@ -69,8 +69,8 @@ type uWay struct {
 	valid   bool
 	retired bool
 	lru     uint64
-	bornAt  uint64 // Clock() cycle the entry was installed
-	pc      uint64 // full branch PC, simulator bookkeeping (see OnRemove)
+	bornAt  uint64 // cycle the entry was installed (see SetCycle)
+	pc      uint64 // full branch PC, simulator bookkeeping (see Departure)
 	e       UEntry
 }
 
@@ -79,9 +79,28 @@ type rWay struct {
 	valid   bool
 	retired bool
 	lru     uint64
-	bornAt  uint64 // Clock() cycle the entry was installed
-	pc      uint64 // full branch PC, simulator bookkeeping (see OnRemove)
+	bornAt  uint64 // cycle the entry was installed (see SetCycle)
+	pc      uint64 // full branch PC, simulator bookkeeping (see Departure)
 	offset  uint8  // byte offset of the return within its line
+}
+
+// Departure describes the entry an Insert displaced.
+type Departure struct {
+	// PC is the displaced branch's full PC. The hardware would not
+	// store it (partial tags cannot reconstruct it); the front end uses
+	// it to retire the PC from its probe-candidate sets.
+	PC uint64
+	// Evicted reports a capacity eviction; false means the new branch's
+	// partial tag aliased the entry and overwrote it in place.
+	Evicted bool
+	// U selects the buffer: the U-SBB, or the R-SBB when false.
+	U bool
+	// Retired is the entry's retired bit: a useful entry lost rather
+	// than a possibly-bogus one.
+	Retired bool
+	// Lifetime is the entry's age in cycles: the current SetCycle value
+	// minus the one it was installed at.
+	Lifetime uint64
 }
 
 // SBBStats counts buffer events.
@@ -107,40 +126,21 @@ type SBB struct {
 	uSets [][]uWay
 	rSets [][]rWay
 	tick  uint64
+	// cycle stamps inserts and dates departures; the SBB has no clock
+	// of its own, so its owner sets it (SetCycle).
+	cycle uint64
 	stats SBBStats
-
-	// OnEvict, when non-nil, observes capacity evictions: isU selects
-	// the buffer, retired reports the victim's retired bit (a useful
-	// entry lost rather than a possibly-bogus one), and lifetime is the
-	// victim's age in Clock cycles (0 without a Clock). Set by the
-	// front-end's observability wiring; nil costs one comparison per
-	// eviction.
-	OnEvict func(isU, retired bool, lifetime uint64)
-
-	// Clock, when non-nil, timestamps inserts so evictions can report
-	// entry lifetimes. The SBB has no cycle counter of its own.
-	Clock func() uint64
-
-	// OnRemove, when non-nil, observes every entry leaving the buffer —
-	// capacity evictions, invalidations, and tag-aliased overwrites —
-	// with the departed entry's full branch PC. The PC is simulator
-	// bookkeeping the hardware would not store (partial tags cannot
-	// reconstruct it); the front-end uses the hook to retire the PC from
-	// its probe-candidate sets so they track live SBB content instead of
-	// growing monotonically.
-	OnRemove func(pc uint64)
 }
 
 // Clone returns an independent deep copy of the SBB: same buffer
-// contents, LRU state, and statistics. The OnEvict/Clock/OnRemove hooks
-// are deliberately NOT copied — they are closures over the original
-// owner's structures; whoever owns the clone must re-wire them.
+// contents, LRU state, cycle, and statistics.
 func (s *SBB) Clone() *SBB {
 	n := &SBB{
 		cfg:   s.cfg,
 		uSets: make([][]uWay, len(s.uSets)),
 		rSets: make([][]rWay, len(s.rSets)),
 		tick:  s.tick,
+		cycle: s.cycle,
 		stats: s.stats,
 	}
 	for i, set := range s.uSets {
@@ -154,20 +154,9 @@ func (s *SBB) Clone() *SBB {
 	return n
 }
 
-// removed fires OnRemove for a departing entry.
-func (s *SBB) removed(pc uint64) {
-	if s.OnRemove != nil {
-		s.OnRemove(pc)
-	}
-}
-
-// now returns the current Clock cycle, or 0 without a Clock.
-func (s *SBB) now() uint64 {
-	if s.Clock == nil {
-		return 0
-	}
-	return s.Clock()
-}
+// SetCycle sets the cycle that stamps later inserts and dates the
+// lifetimes of the entries they displace.
+func (s *SBB) SetCycle(c uint64) { s.cycle = c }
 
 // NewSBB builds a buffer from cfg.
 func NewSBB(cfg SBBConfig) (*SBB, error) {
@@ -320,29 +309,32 @@ func victimR(ways []rWay, retiredFirst bool) int {
 
 // Insert installs a shadow branch produced by the SBD. btbResident
 // reports whether the branch currently hits in the BTB (used only by
-// the FilterBTBResident ablation).
+// the FilterBTBResident ablation). It returns the entry the insert
+// displaced, if any: a capacity victim, or an entry whose partial tag
+// the new branch aliased.
 //
 //skia:noalloc
-func (s *SBB) Insert(sb ShadowBranch, btbResident bool) {
+func (s *SBB) Insert(sb ShadowBranch, btbResident bool) (d Departure, displaced bool) {
 	if s.cfg.FilterBTBResident && btbResident {
 		s.stats.FilteredBTBResident++
-		return
+		return Departure{}, false
 	}
 	switch sb.Class {
 	case isa.ClassDirectUncond, isa.ClassCall, isa.ClassDirectCond:
-		s.insertU(sb)
+		d, displaced = s.insertU(sb)
 	case isa.ClassReturn:
-		s.insertR(sb.PC)
+		d, displaced = s.insertR(sb.PC)
 	}
 	if invariantsEnabled {
 		sbbCheckInvariants(s)
 	}
+	return d, displaced
 }
 
 //skia:noalloc
-func (s *SBB) insertU(sb ShadowBranch) {
+func (s *SBB) insertU(sb ShadowBranch) (Departure, bool) {
 	if len(s.uSets) == 0 {
-		return
+		return Departure{}, false
 	}
 	set, tag := s.uIndex(sb.PC)
 	s.tick++
@@ -358,32 +350,34 @@ func (s *SBB) insertU(sb ShadowBranch) {
 			// Refresh in place; keep the retired bit (re-decoding the
 			// same shadow region is common). A differing stored PC means
 			// the partial tag aliased: the old branch's entry is gone.
-			if wy.pc != sb.PC {
-				s.removed(wy.pc)
+			var d Departure
+			aliased := wy.pc != sb.PC
+			if aliased {
+				d = Departure{PC: wy.pc, U: true, Retired: wy.retired, Lifetime: s.cycle - wy.bornAt}
 				wy.pc = sb.PC
 			}
 			wy.e = e
 			wy.lru = s.tick
-			return
+			return d, aliased
 		}
 	}
 	w := victimU(s.uSets[set], s.cfg.RetiredFirstEviction)
-	now := s.now()
-	if s.uSets[set][w].valid {
+	v := &s.uSets[set][w]
+	var d Departure
+	evicted := v.valid
+	if evicted {
 		s.stats.UEvictions++
-		if s.OnEvict != nil {
-			s.OnEvict(true, s.uSets[set][w].retired, now-s.uSets[set][w].bornAt)
-		}
-		s.removed(s.uSets[set][w].pc)
+		d = Departure{PC: v.pc, Evicted: true, U: true, Retired: v.retired, Lifetime: s.cycle - v.bornAt}
 	}
-	s.uSets[set][w] = uWay{tag: tag, valid: true, lru: s.tick, bornAt: now, pc: sb.PC, e: e}
+	*v = uWay{tag: tag, valid: true, lru: s.tick, bornAt: s.cycle, pc: sb.PC, e: e}
 	s.stats.UInserts++
+	return d, evicted
 }
 
 //skia:noalloc
-func (s *SBB) insertR(pc uint64) {
+func (s *SBB) insertR(pc uint64) (Departure, bool) {
 	if len(s.rSets) == 0 {
-		return
+		return Departure{}, false
 	}
 	set, tag := s.rIndex(program.LineAddr(pc))
 	off := uint8(program.LineOffset(pc))
@@ -391,25 +385,27 @@ func (s *SBB) insertR(pc uint64) {
 	for w := range s.rSets[set] {
 		wy := &s.rSets[set][w]
 		if wy.valid && wy.tag == tag && wy.offset == off {
-			if wy.pc != pc {
-				s.removed(wy.pc)
+			var d Departure
+			aliased := wy.pc != pc
+			if aliased {
+				d = Departure{PC: wy.pc, Retired: wy.retired, Lifetime: s.cycle - wy.bornAt}
 				wy.pc = pc
 			}
 			wy.lru = s.tick
-			return
+			return d, aliased
 		}
 	}
 	w := victimR(s.rSets[set], s.cfg.RetiredFirstEviction)
-	now := s.now()
-	if s.rSets[set][w].valid {
+	v := &s.rSets[set][w]
+	var d Departure
+	evicted := v.valid
+	if evicted {
 		s.stats.REvictions++
-		if s.OnEvict != nil {
-			s.OnEvict(false, s.rSets[set][w].retired, now-s.rSets[set][w].bornAt)
-		}
-		s.removed(s.rSets[set][w].pc)
+		d = Departure{PC: v.pc, Evicted: true, Retired: v.retired, Lifetime: s.cycle - v.bornAt}
 	}
-	s.rSets[set][w] = rWay{tag: tag, valid: true, lru: s.tick, bornAt: now, pc: pc, offset: off}
+	*v = rWay{tag: tag, valid: true, lru: s.tick, bornAt: s.cycle, pc: pc, offset: off}
 	s.stats.RInserts++
+	return d, evicted
 }
 
 // MarkRetired sets the Retired bit on the entry that supplied the
@@ -482,18 +478,20 @@ func (s *SBB) Contains(pc uint64, class isa.Class) bool {
 	return false
 }
 
-// Invalidate removes the entry at pc after it has been exposed as bogus
-// (the decode stage found no such branch on the true path).
-func (s *SBB) Invalidate(pc uint64) {
+// Invalidate removes the entries at pc after they have been exposed as
+// bogus (the decode stage found no such branch on the true path) and
+// returns their full PCs: gone[:n], one per buffer that held pc.
+func (s *SBB) Invalidate(pc uint64) (gone [2]uint64, n int) {
 	if len(s.uSets) > 0 {
 		set, tag := s.uIndex(pc)
 		for w := range s.uSets[set] {
 			wy := &s.uSets[set][w]
 			if wy.valid && wy.tag == tag {
-				gone := wy.pc
+				gone[n] = wy.pc
+				n++
 				*wy = uWay{}
 				s.stats.Invalidated++
-				s.removed(gone)
+				break // Insert keeps tags unique within a set
 			}
 		}
 	}
@@ -503,11 +501,13 @@ func (s *SBB) Invalidate(pc uint64) {
 		for w := range s.rSets[set] {
 			wy := &s.rSets[set][w]
 			if wy.valid && wy.tag == tag && wy.offset == off {
-				gone := wy.pc
+				gone[n] = wy.pc
+				n++
 				*wy = rWay{}
 				s.stats.Invalidated++
-				s.removed(gone)
+				break // Insert keeps (tag, offset) unique within a set
 			}
 		}
 	}
+	return gone, n
 }

@@ -186,6 +186,19 @@ func TestFilterBTBResident(t *testing.T) {
 	if s.Stats().FilteredBTBResident != 1 {
 		t.Errorf("filter stat = %d", s.Stats().FilteredBTBResident)
 	}
+	// A filtered insert touches nothing, so nothing departs even when
+	// the set is full.
+	f := oneSetSBB()
+	f.cfg.FilterBTBResident = true
+	for _, pc := range []uint64{0x1, 0x2, 0x3, 0x4} {
+		f.Insert(ShadowBranch{PC: pc, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, false)
+	}
+	if d, ok := f.Insert(ShadowBranch{PC: 0x13, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, true); ok {
+		t.Errorf("filtered insert displaced %+v", d)
+	}
+	if _, ok := f.LookupU(0x3); !ok {
+		t.Error("filtered insert disturbed the buffer")
+	}
 	// Without the filter flag, residency is ignored.
 	s2 := tinySBB()
 	s2.Insert(ShadowBranch{PC: 0x99, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, true)
@@ -198,8 +211,11 @@ func TestInvalidate(t *testing.T) {
 	s := tinySBB()
 	s.Insert(ShadowBranch{PC: 0x123, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, false)
 	s.Insert(ShadowBranch{PC: 0x456, Class: isa.ClassReturn, Len: 1}, false)
-	s.Invalidate(0x123)
-	s.Invalidate(0x456)
+	for _, pc := range []uint64{0x123, 0x456} {
+		if gone, n := s.Invalidate(pc); n != 1 || gone[0] != pc {
+			t.Errorf("Invalidate(%#x) removed %#x, want [%#x]", pc, gone[:n], pc)
+		}
+	}
 	if _, ok := s.LookupU(0x123); ok {
 		t.Error("U entry survived invalidate")
 	}
@@ -209,7 +225,88 @@ func TestInvalidate(t *testing.T) {
 	if s.Stats().Invalidated != 2 {
 		t.Errorf("invalidated = %d", s.Stats().Invalidated)
 	}
-	s.Invalidate(0xFFFF) // absent: no panic
+	if gone, n := s.Invalidate(0xFFFF); n != 0 {
+		t.Errorf("absent PC removed %#x", gone[:n])
+	}
+	// A bogus decode can leave both buffers holding the same PC; one
+	// invalidation clears and reports both.
+	s.Insert(ShadowBranch{PC: 0x789, Class: isa.ClassCall, Target: 1, Len: 5}, false)
+	s.Insert(ShadowBranch{PC: 0x789, Class: isa.ClassReturn, Len: 1}, false)
+	if gone, n := s.Invalidate(0x789); n != 2 || gone != [2]uint64{0x789, 0x789} {
+		t.Errorf("Invalidate(0x789) removed %#x, want both buffers' entries", gone[:n])
+	}
+}
+
+// oneSetSBB has a single 4-way set per buffer and 4-bit tags, so
+// capacity evictions and partial-tag aliases are easy to provoke.
+func oneSetSBB() *SBB {
+	return MustNewSBB(SBBConfig{
+		UEntries: 4, UWays: 4, REntries: 4, RWays: 4,
+		TagBits: 4, RetiredFirstEviction: true,
+	})
+}
+
+func TestInsertReportsCapacityEviction(t *testing.T) {
+	s := oneSetSBB()
+	for i, pc := range []uint64{0x1, 0x2, 0x3, 0x4} {
+		s.SetCycle(uint64(10 + i))
+		if d, ok := s.Insert(ShadowBranch{PC: pc, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, false); ok {
+			t.Fatalf("insert into a free way displaced %+v", d)
+		}
+	}
+	s.MarkRetired(0x1, isa.ClassDirectUncond)
+	s.SetCycle(100)
+	// 0x1 is LRU but retired, so retired-first eviction takes 0x2.
+	d, ok := s.Insert(ShadowBranch{PC: 0x5, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, false)
+	want := Departure{PC: 0x2, Evicted: true, U: true, Lifetime: 100 - 11}
+	if !ok || d != want {
+		t.Fatalf("U eviction = %+v, %v; want %+v", d, ok, want)
+	}
+
+	// With every R way retired, the LRU one (0x2000) goes.
+	s.SetCycle(200)
+	for _, pc := range []uint64{0x2000, 0x2040, 0x2080, 0x20c0} {
+		s.Insert(ShadowBranch{PC: pc, Class: isa.ClassReturn, Len: 1}, false)
+		s.MarkRetired(pc, isa.ClassReturn)
+	}
+	s.SetCycle(250)
+	d, ok = s.Insert(ShadowBranch{PC: 0x2100, Class: isa.ClassReturn, Len: 1}, false)
+	want = Departure{PC: 0x2000, Evicted: true, Retired: true, Lifetime: 50}
+	if !ok || d != want {
+		t.Fatalf("R eviction = %+v, %v; want %+v", d, ok, want)
+	}
+	if st := s.Stats(); st.UEvictions != 1 || st.REvictions != 1 {
+		t.Errorf("evictions U=%d R=%d, want 1 each", st.UEvictions, st.REvictions)
+	}
+}
+
+func TestInsertReportsAliasOverwrite(t *testing.T) {
+	s := oneSetSBB()
+	s.SetCycle(5)
+	s.Insert(ShadowBranch{PC: 0x3, Class: isa.ClassDirectUncond, Target: 1, Len: 2}, false)
+	s.SetCycle(9)
+	// Re-decoding the same branch refreshes it: nothing departs.
+	if d, ok := s.Insert(ShadowBranch{PC: 0x3, Class: isa.ClassDirectUncond, Target: 2, Len: 2}, false); ok {
+		t.Fatalf("refresh displaced %+v", d)
+	}
+	// 0x13 shares 0x3's 4-bit tag: it overwrites the entry in place.
+	d, ok := s.Insert(ShadowBranch{PC: 0x13, Class: isa.ClassDirectUncond, Target: 3, Len: 2}, false)
+	want := Departure{PC: 0x3, U: true, Lifetime: 4}
+	if !ok || d != want {
+		t.Fatalf("U alias = %+v, %v; want %+v", d, ok, want)
+	}
+
+	s.Insert(ShadowBranch{PC: 0x2031, Class: isa.ClassReturn, Len: 1}, false)
+	s.MarkRetired(0x2031, isa.ClassReturn)
+	// 0x3031's line shares 0x2031's line tag, and the offsets match.
+	d, ok = s.Insert(ShadowBranch{PC: 0x3031, Class: isa.ClassReturn, Len: 1}, false)
+	want = Departure{PC: 0x2031, Retired: true}
+	if !ok || d != want {
+		t.Fatalf("R alias = %+v, %v; want %+v", d, ok, want)
+	}
+	if st := s.Stats(); st.UEvictions != 0 || st.REvictions != 0 {
+		t.Errorf("alias overwrites counted as evictions: U=%d R=%d", st.UEvictions, st.REvictions)
+	}
 }
 
 func TestMarkRetiredReturn(t *testing.T) {

@@ -133,12 +133,10 @@ type SBD struct {
 	cfg   SBDConfig
 	stats SBDStats
 
-	// OnHeadPaths, when non-nil, observes the path-family count of each
-	// examined Head region (0 when no valid path exists), before the
-	// MaxValidPaths cap is applied. Feeds the attribution engine's
-	// valid-paths-per-line distribution; nil costs one comparison per
-	// region.
-	OnHeadPaths func(families int)
+	// headFamilies is the path-family count of the Head region the
+	// last DecodeHead call examined, -1 when it examined none; see
+	// HeadFamilies.
+	headFamilies int
 
 	// cache, when non-nil, memoizes head/tail decode results per
 	// (lineAddr, offset); see decodecache.go. The program image is
@@ -154,12 +152,11 @@ type SBD struct {
 }
 
 // Clone returns an independent deep copy of the decoder's config,
-// statistics, and scratch state. The OnHeadPaths hook and the attached
-// decode cache are NOT carried over: the hook is a closure over the
-// original owner, and the cache must be cloned separately and
-// re-attached so the copy does not share memo storage.
+// statistics, and scratch state. The attached decode cache is NOT
+// carried over: it must be cloned separately and re-attached so the
+// copy does not share memo storage.
 func (d *SBD) Clone() *SBD {
-	n := &SBD{cfg: d.cfg, stats: d.stats}
+	n := &SBD{cfg: d.cfg, stats: d.stats, headFamilies: d.headFamilies}
 	n.lengths = d.lengths
 	n.valid = d.valid
 	n.visits = d.visits
@@ -177,7 +174,7 @@ func NewSBD(cfg SBDConfig) *SBD {
 	if cfg.MaxValidPaths <= 0 {
 		cfg.MaxValidPaths = 6
 	}
-	return &SBD{cfg: cfg}
+	return &SBD{cfg: cfg, headFamilies: -1}
 }
 
 // Config returns the decoder configuration.
@@ -189,6 +186,15 @@ func (d *SBD) Stats() SBDStats { return d.stats }
 // ResetStats zeroes the statistics.
 func (d *SBD) ResetStats() { d.stats = SBDStats{} }
 
+// HeadFamilies returns the path-family count of the Head region the
+// last DecodeHead call examined (0 when no valid path exists), counted
+// before the MaxValidPaths cap applies. ok is false when that call
+// examined no region: Head decoding off, or an empty region. It feeds
+// the attribution engine's valid-paths-per-line distribution.
+func (d *SBD) HeadFamilies() (families int, ok bool) {
+	return d.headFamilies, d.headFamilies >= 0
+}
+
 // DecodeHead decodes the Head shadow region of a cache line: bytes
 // [0, entryOff) where entryOff is the basic block's entry byte within
 // the line (the branch target that brought the line into the FTQ). It
@@ -197,6 +203,7 @@ func (d *SBD) ResetStats() { d.stats = SBDStats{} }
 //
 //skia:noalloc
 func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) []ShadowBranch {
+	d.headFamilies = -1
 	if !d.cfg.Head || entryOff <= 0 || entryOff > len(line) {
 		return dst
 	}
@@ -210,9 +217,7 @@ func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []Shado
 				d.stats.HeadDiscarded++
 			}
 			d.stats.HeadBranches += uint64(len(branches))
-			if d.OnHeadPaths != nil {
-				d.OnHeadPaths(int(e.nFamilies))
-			}
+			d.headFamilies = int(e.nFamilies)
 			return append(dst, branches...)
 		}
 	}
@@ -226,9 +231,7 @@ func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []Shado
 		d.stats.HeadDiscarded++
 	}
 	d.stats.HeadBranches += uint64(len(dst) - n0)
-	if d.OnHeadPaths != nil {
-		d.OnHeadPaths(nFamilies)
-	}
+	d.headFamilies = nFamilies
 	if d.cache != nil {
 		d.cache.record(lineAddr, entryOff, regionHead, dst[n0:], nFamilies, noValid, discarded)
 	}
@@ -237,9 +240,9 @@ func (d *SBD) DecodeHead(line []byte, lineAddr uint64, entryOff int, dst []Shado
 
 // headCore is DecodeHead's side-effect-free body: it appends extracted
 // branches to dst and reports the path-family count plus the two
-// outcome flags, without touching d.stats or the OnHeadPaths hook. The
-// split exists so the decode cache can replay exactly the statistics a
-// fresh decode would have produced.
+// outcome flags, without touching d.stats or the recorded family count.
+// The split exists so the decode cache can replay exactly the
+// statistics a fresh decode would have produced.
 //
 //skia:noalloc
 func (d *SBD) headCore(line []byte, lineAddr uint64, entryOff int, dst []ShadowBranch) (out []ShadowBranch, nFam int, noValid, discarded bool) {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/attrib"
 	"repro/internal/workload"
 )
 
@@ -132,7 +133,9 @@ func TestCloneIndependence(t *testing.T) {
 // positions: clone at pseudo-random points along a run (deterministic
 // LCG, so the test itself is reproducible) and verify each clone,
 // advanced to a common horizon, matches the uninterrupted reference
-// exactly.
+// exactly. At each snapshot an attribution engine is attached to the
+// original and to the clone; both run to the horizon and their
+// summaries must match, which pins SBB birth stamps through Clone.
 func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 	w := cloneWorkload(t, "voter")
 	const horizon = 400_000
@@ -162,14 +165,30 @@ func TestCloneRandomizedSnapshotPoints(t *testing.T) {
 				c.Run(step)
 				pos = c.Retired()
 				cl := c.Clone()
+				next := c.Clone() // continues the walk; c runs on as the original
+				orig, clone := attrib.NewEngine(), attrib.NewEngine()
+				c.AttachAttribution(orig)
+				cl.AttachAttribution(clone)
+				c.Run(horizon - pos)
 				cl.Run(horizon - pos)
 				if got := cl.Result("w"); !reflect.DeepEqual(want, got) {
 					t.Errorf("clone at %d instructions diverged from the uninterrupted run:\n  want %+v\n  got  %+v", pos, want, got)
+				}
+				if got := c.Result("w"); !reflect.DeepEqual(want, got) {
+					t.Errorf("original attributed from %d instructions diverged from the uninterrupted run:\n  want %+v\n  got  %+v", pos, want, got)
+				}
+				origSum, cloneSum := orig.Summary(), clone.Summary()
+				if origSum.SBBLifetime.Count == 0 {
+					t.Errorf("snapshot at %d instructions: no SBB eviction to compare", pos)
+				}
+				if !reflect.DeepEqual(origSum, cloneSum) {
+					t.Errorf("clone at %d instructions: attribution diverged from the original's:\n  original %+v\n  clone    %+v", pos, origSum, cloneSum)
 				}
 				if dc := cl.Frontend().DecodeCache(); dc != nil && dc.Stats() != ref.Frontend().DecodeCache().Stats() {
 					t.Errorf("clone at %d instructions: decode cache counters diverged: %+v vs %+v",
 						pos, dc.Stats(), ref.Frontend().DecodeCache().Stats())
 				}
+				c = next
 			}
 		})
 	}

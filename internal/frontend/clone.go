@@ -34,10 +34,7 @@ func cloneBlock(b *Block) Block {
 // would have (determinism-tested per component in clone_test.go).
 //
 // Observability attachments do not carry over: the clone starts with no
-// tracer and no attribution engine (callers attach their own), and
-// every component hook that is a closure over the owner — the SBB
-// OnRemove pruner, the SBD/SBB observer hooks — is re-wired to the
-// clone rather than copied.
+// tracer and no attribution engine (callers attach their own).
 func (f *FrontEnd) Clone() *FrontEnd {
 	n := &FrontEnd{
 		cfg: f.cfg,
@@ -89,13 +86,7 @@ func (f *FrontEnd) Clone() *FrontEnd {
 	}
 	if f.sbb != nil {
 		n.sbb = f.sbb.Clone()
-		if !f.cfg.SBDToBTB {
-			n.sbb.OnRemove = n.pruneShadowOff
-		}
 	}
-	// No tracer/attribution on the clone; wireHooks clears the
-	// observer-driven component hooks accordingly.
-	n.wireHooks()
 	return n
 }
 
@@ -302,12 +293,7 @@ func (f *FrontEnd) warmShadowDecode(lineAddr uint64, off int, head bool) {
 	if line == nil {
 		return
 	}
-	f.scratch = f.scratch[:0]
-	if head {
-		f.scratch = f.sbd.DecodeHead(line, lineAddr, off, f.scratch)
-	} else {
-		f.scratch = f.sbd.DecodeTail(line, lineAddr, off, f.scratch)
-	}
+	f.shadowDecode(line, lineAddr, off, head)
 	for _, sb := range f.scratch {
 		if f.cfg.SBDToBTB {
 			f.btb.Insert(sb.PC, btb.Entry{
@@ -316,8 +302,7 @@ func (f *FrontEnd) warmShadowDecode(lineAddr uint64, off int, head bool) {
 				Class:       sb.Class,
 			})
 		} else {
-			_, resident := f.btb.Probe(sb.PC)
-			f.sbb.Insert(sb, resident)
+			f.insertSBB(sb)
 		}
 		f.stats.SBDInserts++
 		f.noteSBBInsert(sb)

@@ -5,9 +5,10 @@ import "testing"
 // TestExtraOffsBounded checks the shadow-offset side table stays
 // footprint-flat over a long run. Each entry exists only while a
 // shadow-discovered branch from that line is live in the SBB — the
-// SBB's OnRemove hook prunes the bit on eviction, invalidation, and
-// refresh-with-a-different-PC — so the number of tracked lines can
-// never exceed the SBB's capacity, however long the simulation runs.
+// front end prunes the bit when Insert or Invalidate reports the entry
+// gone: eviction, invalidation, and refresh-with-a-different-PC — so
+// the number of tracked lines can never exceed the SBB's capacity,
+// however long the simulation runs.
 func TestExtraOffsBounded(t *testing.T) {
 	w := testWorkload(t, nil)
 	cfg := smallCfg(true)
@@ -39,9 +40,9 @@ func TestExtraOffsBounded(t *testing.T) {
 }
 
 // TestExtraOffsBoundedSBDToBTB covers the ablation mode: with no SBB
-// there is no pruning hook, so the side table may grow — but only to
-// the number of branch-free-prefix lines in the program image, never
-// with simulation length.
+// nothing prunes, so the side table may grow — but only to the number
+// of branch-free-prefix lines in the program image, never with
+// simulation length.
 func TestExtraOffsBoundedSBDToBTB(t *testing.T) {
 	w := testWorkload(t, nil)
 	cfg := smallCfg(true)

@@ -151,9 +151,9 @@ type FrontEnd struct {
 	sbdDue uint64
 	// extraOffs registers SBB-inserted PCs that are not static branch
 	// starts as probe candidates: one bit per byte offset in the line
-	// (LineSize = 64). Bits are cleared through the SBB's OnRemove hook
-	// when the backing entry leaves the buffer, so the map tracks live
-	// SBB content instead of growing for the whole run. (In the SBDToBTB
+	// (LineSize = 64). Bits are cleared when the SBB reports that the
+	// backing entry left the buffer, so the map tracks live SBB
+	// content instead of growing for the whole run. (In the SBDToBTB
 	// ablation there is no SBB to key off; the map then grows to the set
 	// of distinct shadow-decoded PCs, which the program size bounds.)
 	extraOffs map[uint64]uint64
@@ -227,7 +227,6 @@ func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 				return nil, fmt.Errorf("frontend: %w", err)
 			}
 			f.sbb = sbb
-			f.sbb.OnRemove = f.pruneShadowOff
 		}
 	}
 	return f, nil
@@ -273,62 +272,12 @@ func (f *FrontEnd) DecodeCache() *core.DecodeCache { return f.dcache }
 // probe candidates, for footprint tests.
 func (f *FrontEnd) ExtraOffLines() int { return len(f.extraOffs) }
 
-// SetTracer attaches (or, with nil, detaches) an event tracer. The
-// SBB's eviction hook is wired through to the same tracer.
-func (f *FrontEnd) SetTracer(t *metrics.RingTracer) {
-	f.tr = t
-	f.wireHooks()
-}
+// SetTracer attaches (or, with nil, detaches) an event tracer.
+func (f *FrontEnd) SetTracer(t *metrics.RingTracer) { f.tr = t }
 
 // SetAttribution attaches (or, with nil, detaches) a miss-attribution
-// engine. The SBB's clock and eviction hooks and the SBD's head-path
-// hook are wired through to it.
-func (f *FrontEnd) SetAttribution(e *attrib.Engine) {
-	f.at = e
-	f.wireHooks()
-}
-
-// wireHooks (re)wires component callbacks to whichever of the tracer
-// and the attribution engine are attached. Both observers share the
-// single SBB eviction hook, so attaching one must not clobber the
-// other.
-func (f *FrontEnd) wireHooks() {
-	if f.sbd != nil {
-		if f.at != nil {
-			f.sbd.OnHeadPaths = f.at.NoteSBDPaths
-		} else {
-			f.sbd.OnHeadPaths = nil
-		}
-	}
-	if f.sbb == nil {
-		return
-	}
-	if f.at != nil {
-		f.sbb.Clock = func() uint64 { return f.cycle }
-	} else {
-		f.sbb.Clock = nil
-	}
-	if f.tr == nil && f.at == nil {
-		f.sbb.OnEvict = nil
-		return
-	}
-	f.sbb.OnEvict = func(isU, retired bool, lifetime uint64) {
-		if f.tr != nil {
-			kind := metrics.EvSBBEvictR
-			if isU {
-				kind = metrics.EvSBBEvictU
-			}
-			var arg uint64
-			if retired {
-				arg = 1
-			}
-			f.tr.Emit(metrics.Event{Cycle: f.cycle, Kind: kind, Arg: arg})
-		}
-		if f.at != nil {
-			f.at.NoteSBBLifetime(lifetime)
-		}
-	}
-}
+// engine.
+func (f *FrontEnd) SetAttribution(e *attrib.Engine) { f.at = e }
 
 // emit records a traced event at the current cycle.
 func (f *FrontEnd) emit(k metrics.EventKind, pc, arg uint64) {
@@ -377,7 +326,7 @@ func (f *FrontEnd) peek() (emu.Step, bool) {
 func (f *FrontEnd) consume() { f.hasPending = false }
 
 // pruneShadowOff clears pc's probe-candidate bit once its SBB entry is
-// gone (wired to the SBB's OnRemove hook).
+// gone.
 //
 //skia:noalloc
 func (f *FrontEnd) pruneShadowOff(pc uint64) {
@@ -763,12 +712,7 @@ func (f *FrontEnd) runSBDTasks() {
 		if line == nil {
 			continue
 		}
-		f.scratch = f.scratch[:0]
-		if t.head {
-			f.scratch = f.sbd.DecodeHead(line, t.lineAddr, t.off, f.scratch)
-		} else {
-			f.scratch = f.sbd.DecodeTail(line, t.lineAddr, t.off, f.scratch)
-		}
+		f.shadowDecode(line, t.lineAddr, t.off, t.head)
 		for _, sb := range f.scratch {
 			if f.cfg.SBDToBTB {
 				// Ablation: shadow branches go straight into the BTB.
@@ -778,8 +722,7 @@ func (f *FrontEnd) runSBDTasks() {
 					Class:       sb.Class,
 				})
 			} else {
-				_, resident := f.btb.Probe(sb.PC)
-				f.sbb.Insert(sb, resident)
+				f.insertSBB(sb)
 				if f.at != nil {
 					f.at.NoteSBBInsert(sb.PC)
 				}
@@ -796,6 +739,67 @@ func (f *FrontEnd) runSBDTasks() {
 		}
 	}
 	f.sbdTasks = kept
+}
+
+// shadowDecode decodes one head or tail shadow region of the line at
+// lineAddr into f.scratch, and notes a head region's path-family count
+// with the attribution engine.
+//
+//skia:noalloc
+func (f *FrontEnd) shadowDecode(line []byte, lineAddr uint64, off int, head bool) {
+	f.scratch = f.scratch[:0]
+	if !head {
+		f.scratch = f.sbd.DecodeTail(line, lineAddr, off, f.scratch)
+		return
+	}
+	f.scratch = f.sbd.DecodeHead(line, lineAddr, off, f.scratch)
+	if f.at != nil {
+		if n, ok := f.sbd.HeadFamilies(); ok {
+			f.at.NoteSBDPaths(n)
+		}
+	}
+}
+
+// insertSBB inserts a shadow branch into the SBB, stamped with the
+// current cycle, and retires the entry it displaced, if any: that PC
+// leaves the probe candidates, and a capacity eviction is reported to
+// the observers.
+//
+//skia:noalloc
+func (f *FrontEnd) insertSBB(sb core.ShadowBranch) {
+	_, resident := f.btb.Probe(sb.PC)
+	f.sbb.SetCycle(f.cycle)
+	d, ok := f.sbb.Insert(sb, resident)
+	if !ok {
+		return
+	}
+	f.pruneShadowOff(d.PC)
+	if !d.Evicted {
+		return
+	}
+	if f.tr != nil {
+		kind := metrics.EvSBBEvictR
+		if d.U {
+			kind = metrics.EvSBBEvictU
+		}
+		var arg uint64
+		if d.Retired {
+			arg = 1
+		}
+		f.emit(kind, 0, arg)
+	}
+	if f.at != nil {
+		f.at.NoteSBBLifetime(d.Lifetime)
+	}
+}
+
+// invalidateSBB removes the bogus SBB entries at pc and their probe
+// candidates.
+func (f *FrontEnd) invalidateSBB(pc uint64) {
+	gone, n := f.sbb.Invalidate(pc)
+	for _, g := range gone[:n] {
+		f.pruneShadowOff(g)
+	}
 }
 
 // noteSBBInsert tracks bogus inserts (oracle check) and registers the
@@ -1001,7 +1005,7 @@ func (f *FrontEnd) phantom(truePC uint64) {
 		cause = attrib.StallResteerBogusSBB
 		f.stats.BogusSBBUsed++
 		if f.sbb != nil {
-			f.sbb.Invalidate(f.cur.BranchPC)
+			f.invalidateSBB(f.cur.BranchPC)
 		}
 	} else {
 		f.btb.Invalidate(f.cur.BranchPC)
@@ -1029,7 +1033,7 @@ func (f *FrontEnd) verifyTerminator(st emu.Step) {
 			cause = attrib.StallResteerBogusSBB
 			f.stats.BogusSBBUsed++
 			if f.sbb != nil {
-				f.sbb.Invalidate(blk.BranchPC)
+				f.invalidateSBB(blk.BranchPC)
 			}
 		} else {
 			f.btb.Invalidate(blk.BranchPC)

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"testing"
 
+	"repro/internal/attrib"
 	"repro/internal/emu"
 	"repro/internal/workload"
 )
@@ -391,5 +392,46 @@ func TestShadowCondExtension(t *testing.T) {
 	}
 	if s.SBDInserts == 0 || s.SBBCoveredTotal() == 0 {
 		t.Error("extension run shows no SBB activity")
+	}
+}
+
+// TestSBBLifetimeCountsFromInsert warms a Skia front end with no
+// observer attached, then attaches an attribution engine and keeps
+// running: every evicted entry's lifetime must fit in the cycles since
+// the first SBB insert. An SBB that stamped inserts only while an
+// observer was attached would date warmup-born entries from cycle 0.
+func TestSBBLifetimeCountsFromInsert(t *testing.T) {
+	f, err := New(smallCfg(true), testWorkload(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts := func() uint64 { st := f.SBB().Stats(); return st.UInserts + st.RInserts }
+	evictions := func() uint64 { st := f.SBB().Stats(); return st.UEvictions + st.REvictions }
+	for inserts() == 0 {
+		if f.Done() {
+			t.Fatal("workload ended before the first SBB insert")
+		}
+		f.Step(64)
+	}
+	first := f.Cycle()
+	drive(t, f, 100_000)
+
+	e := attrib.NewEngine()
+	f.SetAttribution(e)
+	var decoded uint64
+	for decoded < 200_000 && !f.Done() {
+		ev := evictions()
+		decoded += uint64(f.Step(64))
+		if evictions() == ev {
+			continue
+		}
+		// The lifetime maximum only grows, so checking it after every
+		// evicting cycle checks every eviction.
+		if life, elapsed := e.Summary().SBBLifetime.Max, f.Cycle()-first; life > float64(elapsed) {
+			t.Fatalf("cycle %d: evicted entry lived %.0f cycles, but the first SBB insert was %d cycles ago", f.Cycle(), life, elapsed)
+		}
+	}
+	if e.Summary().SBBLifetime.Count == 0 {
+		t.Fatal("no SBB eviction observed")
 	}
 }

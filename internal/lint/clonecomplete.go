@@ -19,14 +19,10 @@ import (
 //     (`&T{f: ...}`),
 //   - as an assignment target on a non-receiver variable of the
 //     receiver type (`n.f = ...`, including nested fix-ups like
-//     `n.sbb.OnRemove = ...`, which mention sbb), or
+//     `n.inner.x = ...`, which mention inner), or
 //   - implicitly, when the method value-copies the whole receiver
 //     (`c := *t` / a bare value-receiver copy), which mentions every
 //     field at once.
-//
-// Function-typed fields are exempt: hooks are closures over the
-// original owner and the established Clone contract is that owners
-// re-wire them (that contract is what hookpure polices).
 //
 // An unmentioned field needs `//skia:shared-ok <justification>` on its
 // declaration (doc or trailing comment) — reserved for fields whose
@@ -96,9 +92,6 @@ func checkCloneMethod(pass *Pass, fd *ast.FuncDecl) {
 	facts.Set(named.Obj(), "clonecomplete.checked", true)
 	complete := true
 	for _, field := range spec.Fields.List {
-		if _, isFunc := fieldType(info, field).Underlying().(*types.Signature); isFunc {
-			continue // hooks: owners re-wire, never copy (see hookpure)
-		}
 		if hasDirective(field.Doc, "//skia:shared-ok") || hasDirective(field.Comment, "//skia:shared-ok") {
 			continue
 		}
@@ -242,14 +235,6 @@ func structSpec(pkg *Package, named *types.Named) *ast.StructType {
 		}
 	}
 	return nil
-}
-
-// fieldType resolves the declared type of a struct field.
-func fieldType(info *types.Info, field *ast.Field) types.Type {
-	if tv, ok := info.Types[field.Type]; ok {
-		return tv.Type
-	}
-	return types.Typ[types.Invalid]
 }
 
 // embeddedFieldName extracts the implicit field name of an embedded

@@ -9,41 +9,30 @@ import (
 	"strings"
 )
 
-// ConserveAnalyzer enforces two conservation pairings across the whole
-// module at once:
-//
-//  1. Counter conservation: every numeric field of a module-defined
-//     *Stats struct (SBDStats, SBBStats, frontend.Stats, btb.Stats, …)
-//     that is incremented anywhere must be consumed by a registered
-//     exporter — read in a value context somewhere in the module
-//     (report/table assembly, a conservation check, or a test), or
-//     carried on a serialized schema via a json struct tag. A counter
-//     that is bumped but never read is either dead weight or, worse, a
-//     result someone believes is published when it is not. Histogram
-//     fields of such structs follow the same rule with Observe as the
-//     increment: a histogram that accumulates samples nobody renders
-//     is the same dead weight.
-//
-//  2. Hook pairing: every func-typed struct field named On* (OnEvict,
-//     OnRemove, OnHeadPaths, …) must have at least one non-nil
-//     registration site in the module, and no registration may be an
-//     empty func literal. This is the bug class behind PR 4's
-//     extraOffs leak: an eviction hook that exists but has no pruning
-//     consumer lets per-run state grow unboundedly and silently skews
-//     footprint-sensitive results.
+// ConserveAnalyzer enforces counter conservation across the whole
+// module at once: every numeric field of a module-defined *Stats
+// struct (SBDStats, SBBStats, frontend.Stats, btb.Stats, …) that is
+// incremented anywhere must be consumed by a registered exporter —
+// read in a value context somewhere in the module (report/table
+// assembly, a conservation check, or a test), or carried on a
+// serialized schema via a json struct tag. A counter that is bumped
+// but never read is either dead weight or, worse, a result someone
+// believes is published when it is not. Histogram fields of such
+// structs follow the same rule with Observe as the increment: a
+// histogram that accumulates samples nobody renders is the same dead
+// weight.
 //
 // Test files count as read sites (matched by field name, since test
 // packages are not type-checked): conservation tests are legitimate
 // counter consumers.
 var ConserveAnalyzer = &Analyzer{
 	Name:       "conserve",
-	Doc:        "pairs every incremented stats counter with an exporter and every On* hook with a consumer",
+	Doc:        "pairs every incremented stats counter with an exporter",
 	RunProgram: runConserve,
 }
 
 func runConserve(pass *ProgramPass) error {
 	checkCounters(pass)
-	checkHooks(pass)
 	return nil
 }
 
@@ -191,92 +180,4 @@ func isCounterLike(t types.Type) bool {
 func isHistogram(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Name() == "Histogram"
-}
-
-// hookField is one On* func-typed struct field.
-type hookField struct {
-	owner string
-	obj   *types.Var
-	pos   token.Pos
-}
-
-func checkHooks(pass *ProgramPass) {
-	hooks := make(map[*types.Var]*hookField)
-	for _, pkg := range pass.Packages {
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if !strings.HasPrefix(f.Name(), "On") || len(f.Name()) < 3 {
-					continue
-				}
-				if _, ok := f.Type().Underlying().(*types.Signature); !ok {
-					continue
-				}
-				hooks[f] = &hookField{owner: name, obj: f, pos: f.Pos()}
-			}
-		}
-	}
-	if len(hooks) == 0 {
-		return
-	}
-
-	registered := make(map[*types.Var]bool)
-	for _, pkg := range pass.Packages {
-		info := pkg.Info
-		for _, file := range pkg.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				st, ok := n.(*ast.AssignStmt)
-				if !ok || st.Tok != token.ASSIGN {
-					return true
-				}
-				for i, lhs := range st.Lhs {
-					sel, ok := lhs.(*ast.SelectorExpr)
-					if !ok || i >= len(st.Rhs) {
-						continue
-					}
-					s := info.Selections[sel]
-					if s == nil || s.Kind() != types.FieldVal {
-						continue
-					}
-					f, ok := s.Obj().(*types.Var)
-					if !ok {
-						continue
-					}
-					if _, tracked := hooks[f]; !tracked {
-						continue
-					}
-					rhs := st.Rhs[i]
-					if id, ok := rhs.(*ast.Ident); ok && id.Name == "nil" {
-						continue // detachment, not registration
-					}
-					if lit, ok := rhs.(*ast.FuncLit); ok && len(lit.Body.List) == 0 {
-						pass.Reportf(rhs.Pos(), "hook %s.%s is registered with an empty func literal: the hook's events are dropped; wire a consumer or assign nil", hooks[f].owner, f.Name())
-						continue
-					}
-					registered[f] = true
-				}
-				return true
-			})
-		}
-	}
-
-	var out []*hookField
-	for f, hf := range hooks {
-		if !registered[f] {
-			out = append(out, hf)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
-	for _, hf := range out {
-		pass.Reportf(hf.pos, "hook %s.%s is declared but never registered with a non-nil consumer anywhere in the module: its events (evictions, removals, …) are unobserved, the hook-pairing leak class", hf.owner, hf.obj.Name())
-	}
 }

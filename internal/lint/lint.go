@@ -1,6 +1,6 @@
-// Package lint is the simulator's static-analysis suite: nine
+// Package lint is the simulator's static-analysis suite: seven
 // analyzers (detmap, nondet, noalloc, conserve, statlock,
-// clonecomplete, atomicmix, hookpure, directive) that enforce, at CI
+// clonecomplete, directive) that enforce, at CI
 // time, the properties the paper's published figures depend on —
 // deterministic simulation, allocation-free hot paths, and counter
 // conservation — over every package instead of the single workloads
@@ -46,17 +46,6 @@
 //	    copied by the type's Clone method — an immutable alias,
 //	    recycling scratch, or a non-carrying observability
 //	    attachment. A justification is required.
-//
-//	//skia:atomicmix-ok <justification>
-//	    On a plain access to a variable elsewhere accessed via
-//	    sync/atomic: the access is ordered by other means (pre-
-//	    publication init, lock covering all writers). A justification
-//	    is required.
-//
-//	//skia:hookpure-ok <justification>
-//	    On an unguarded On* hook call or a captured-state write inside
-//	    a hook body: the hook is proven non-nil or the target never
-//	    feeds results. A justification is required.
 //
 // The directive analyzer enforces this grammar itself: unknown names
 // and missing justifications are findings.
@@ -140,10 +129,9 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzers returns the full suite in reporting order. The second
-// generation (clonecomplete, atomicmix, hookpure, directive)
-// statically enforces the invariants the sampling era
-// introduced dynamically: checkpoint clone completeness, atomics
-// consistency, hook purity, and the directive grammar itself.
+// generation (clonecomplete, directive) statically enforces checkpoint
+// clone completeness, which the sampling era introduced dynamically,
+// and the directive grammar itself.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DetMapAnalyzer,
@@ -152,8 +140,6 @@ func Analyzers() []*Analyzer {
 		ConserveAnalyzer,
 		StatLockAnalyzer,
 		CloneCompleteAnalyzer,
-		AtomicMixAnalyzer,
-		HookPureAnalyzer,
 		DirectiveAnalyzer,
 	}
 }

@@ -10,16 +10,6 @@ func TestCloneCompleteFixtures(t *testing.T) {
 	runFixture(t, CloneCompleteAnalyzer, "clonecomplete/good")
 }
 
-func TestAtomicMixFixtures(t *testing.T) {
-	runFixture(t, AtomicMixAnalyzer, "atomicmix/bad")
-	runFixture(t, AtomicMixAnalyzer, "atomicmix/good")
-}
-
-func TestHookPureFixtures(t *testing.T) {
-	runFixture(t, HookPureAnalyzer, "hookpure/bad")
-	runFixture(t, HookPureAnalyzer, "hookpure/good")
-}
-
 func TestDirectiveFixtures(t *testing.T) {
 	runFixture(t, DirectiveAnalyzer, "directive/bad")
 	runFixture(t, DirectiveAnalyzer, "directive/good")
@@ -81,42 +71,5 @@ func TestCloneCompleteCoversCheckpointTypes(t *testing.T) {
 		if !prog.Facts().Bool(obj, "clonecomplete.complete") {
 			t.Errorf("%s.%s: Clone field coverage is incomplete", want.pkg, want.typ)
 		}
-	}
-}
-
-// TestCallGraphResolvesAcrossPackages pins the loader upgrade the v2
-// analyzers build on: a cross-package method call resolves to a
-// declaration the program can open.
-func TestCallGraphResolvesAcrossPackages(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	root, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpuPkg := prog.ByPath("repro/internal/cpu")
-	if cpuPkg == nil {
-		t.Fatal("repro/internal/cpu not loaded")
-	}
-	// cpu.Core.Clone calls frontend.FrontEnd.Clone across the package
-	// boundary; the callee's declaration must be reachable.
-	found := false
-	for fn, site := range prog.declIndex() {
-		if fn.Name() != "Clone" || site.Pkg != cpuPkg {
-			continue
-		}
-		for _, callee := range prog.Callees(cpuPkg, site.Decl.Body) {
-			if ds, ok := prog.DeclOf(callee); ok && ds.Pkg.Path == "repro/internal/frontend" && callee.Name() == "Clone" {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Error("Core.Clone -> FrontEnd.Clone edge not resolved by the call graph")
 	}
 }

@@ -41,9 +41,7 @@ type Program struct {
 	stdImporter types.Importer
 	loading     map[string]bool
 
-	// decls and facts back the call-graph and fact-store facilities in
-	// callgraph.go; both are built lazily from the loaded packages.
-	decls map[*types.Func]DeclSite
+	// facts backs Facts (facts.go), built lazily.
 	facts *FactStore
 }
 

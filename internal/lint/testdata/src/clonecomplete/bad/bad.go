@@ -8,11 +8,8 @@ package bad
 // field looks like when Clone is not updated.
 type Sim struct {
 	cycles uint64
-	table  []int // want `field Sim.table is not copied`
+	table  []int  // want `field Sim.table is not copied`
 	pc     uint64 // want `field Sim.pc is not copied`
-	// OnRetire is func-typed: hooks are the owner's to re-wire, so
-	// clonecomplete does not require a mention (hookpure governs them).
-	OnRetire func(n uint64)
 }
 
 func (s *Sim) Clone() *Sim {

@@ -2,8 +2,8 @@
 // fixed up, annotated, or implicitly covered by a value copy.
 package good
 
-// Sim is composite-style complete: every non-func field is a literal
-// key or a later fix-up assignment.
+// Sim is composite-style complete: every field is a literal key or a
+// later fix-up assignment.
 type Sim struct {
 	cycles uint64
 	table  []int
@@ -12,8 +12,6 @@ type Sim struct {
 	// (with its justification) suppresses the finding.
 	//skia:shared-ok transient per-call buffer, overwritten before every use
 	scratch []byte
-	// OnRetire is func-typed and therefore exempt (owners re-wire).
-	OnRetire func(n uint64)
 }
 
 func (s *Sim) Clone() *Sim {

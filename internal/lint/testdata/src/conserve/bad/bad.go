@@ -1,6 +1,5 @@
-// Package bad holds conserve failing cases: a counter bumped but
-// never exported, a hook with no consumer, and a hook consumed by a
-// do-nothing literal — the extraOffs-leak bug class.
+// Package bad holds conserve failing cases: a counter and a histogram
+// bumped but never exported.
 package bad
 
 // FooStats mirrors the dead-counter findings this analyzer surfaced
@@ -10,22 +9,12 @@ type FooStats struct {
 	Dead uint64 // want `incremented but never read`
 }
 
-// Probe carries two unconsumed hooks.
-type Probe struct {
-	OnDrop func(pc uint64) // want `never registered`
-	OnNoop func(pc uint64) // want `never registered`
-}
-
 func bump(s *FooStats) {
 	s.Used++
 	s.Dead++
 }
 
 func export(s *FooStats) uint64 { return s.Used }
-
-func wire(p *Probe) {
-	p.OnNoop = func(pc uint64) {} // want `empty func literal`
-}
 
 // Histogram stands in for stats.Histogram; Observe is the increment.
 type Histogram struct{ n uint64 }

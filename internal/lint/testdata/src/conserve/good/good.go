@@ -1,5 +1,5 @@
 // Package good holds conserve passing cases: every incremented
-// counter is read or serialized, and every hook has a real consumer.
+// counter is read or serialized.
 package good
 
 // BarStats exports Hits by read and Misses by json schema.
@@ -8,23 +8,12 @@ type BarStats struct {
 	Misses uint64 `json:"misses"`
 }
 
-// Probe pairs its hook with a consumer in wire.
-type Probe struct {
-	OnEvict func(pc uint64)
-}
-
 func bump(s *BarStats) {
 	s.Hits++
 	s.Misses++
 }
 
 func export(s *BarStats) uint64 { return s.Hits }
-
-type pruner struct{ gone map[uint64]bool }
-
-func wire(p *Probe, k *pruner) {
-	p.OnEvict = func(pc uint64) { delete(k.gone, pc) }
-}
 
 // Histogram stands in for stats.Histogram: Observe accumulates, any
 // other use (render, snapshot, address-of) counts as a read.

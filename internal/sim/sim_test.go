@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -498,6 +499,42 @@ func TestAttributionConservation(t *testing.T) {
 		if got := len(r.AttributionSummaries()); got != 1 {
 			t.Errorf("%s: AttributionSummaries = %d entries, want 1", label, got)
 		}
+	}
+}
+
+// TestObserversDoNotChangeResults runs one Skia spec plain and with
+// every observer attached — miss attribution, interval metrics and an
+// event tracer — and requires identical result counters: observers
+// only read what the SBB and SBD report, they never steer simulation.
+// A small SBB makes the observed run evict and alias entries.
+func TestObserversDoNotChangeResults(t *testing.T) {
+	spec := quickSpec("obs", true)
+	spec.Benchmark = "voter"
+	spec.Config.Frontend.SBB.UEntries = 64
+	spec.Config.Frontend.SBB.REntries = 64
+	plain, err := NewRunner().Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRunner()
+	r.Attrib = true
+	r.Interval = 30_000
+	tr := metrics.NewRingTracer(1 << 12)
+	spec.Tracer = tr
+	observed, err := r.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observed.Attribution == nil || observed.Attribution.SBBLifetime.Count == 0 ||
+		len(observed.Intervals) == 0 || tr.Total() == 0 {
+		t.Fatal("an attached observer saw nothing: the comparison would be vacuous")
+	}
+	if observed.SBB.UEvictions+observed.SBB.REvictions == 0 {
+		t.Fatal("the SBB never evicted: the comparison would miss the eviction path")
+	}
+	if !reflect.DeepEqual(plain.Result, observed.Result) {
+		t.Errorf("observers changed the result:\n  plain    %+v\n  observed %+v", plain.Result, observed.Result)
 	}
 }
 
