@@ -49,15 +49,17 @@ type Entry struct {
 	// Iterations is testing.B's chosen N (1 for experiment entries).
 	Iterations int `json:"iterations"`
 	// NsPerOp is wall time per operation. For hot-loop benchmarks an
-	// operation is 1000 simulated instructions; for experiment entries
-	// it is the whole experiment.
+	// operation is 1000 simulated instructions, for fast-forward entries
+	// one 2M-instruction skip, and for experiment entries the whole
+	// experiment.
 	NsPerOp float64 `json:"ns_per_op"`
 	// AllocsPerOp and BytesPerOp come from testing.B's allocation
 	// counters (absent for experiment entries).
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	// Metrics carries benchmark-specific extras: "minsts_per_s" for
-	// hot loops (simulated Minstructions per wall second), "sim_mips"
+	// hot loops and fast-forwards (simulated or skipped Minstructions
+	// per wall second), "sim_mips"
 	// for experiment entries (the runner's aggregate throughput).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
@@ -145,10 +147,10 @@ func countNonTestLines(root string) (int, error) {
 	return lines, err
 }
 
-// cycleCore builds a warmed core for the hot-loop benchmarks,
-// mirroring bench_test.go's BenchmarkFrontEndCycle setup so the two
-// report comparable numbers.
-func cycleCore(cfg cpu.Config) (*cpu.Core, error) {
+// cycleCore builds a core on voter warmed by warm instructions of
+// detail. The hot-loop benchmarks warm 100k, mirroring bench_test.go's
+// BenchmarkFrontEndCycle setup so the two report comparable numbers.
+func cycleCore(cfg cpu.Config, warm uint64) (*cpu.Core, error) {
 	prof, err := workload.ByName("voter")
 	if err != nil {
 		return nil, err
@@ -161,7 +163,7 @@ func cycleCore(cfg cpu.Config) (*cpu.Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Run(100_000)
+	c.Run(warm)
 	c.ResetStats()
 	return c, nil
 }
@@ -176,7 +178,7 @@ func benchCycle(cfg cpu.Config) (Entry, error) {
 		// count only the final timed run.
 		retired = 0
 		b.StopTimer()
-		c, err := cycleCore(cfg)
+		c, err := cycleCore(cfg, 100_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +187,7 @@ func benchCycle(cfg cpu.Config) (Entry, error) {
 		for i := 0; i < b.N; i++ {
 			if c.Run(1000) == 0 {
 				b.StopTimer()
-				nc, err := cycleCore(cfg)
+				nc, err := cycleCore(cfg, 100_000)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,6 +198,12 @@ func benchCycle(cfg cpu.Config) (Entry, error) {
 		}
 		retired += c.Retired()
 	})
+	return loopEntry(r, retired), nil
+}
+
+// loopEntry records a testing.B result whose final timed run covered
+// insts simulated (or skipped) instructions.
+func loopEntry(r testing.BenchmarkResult, insts uint64) Entry {
 	e := Entry{
 		Iterations:  r.N,
 		NsPerOp:     float64(r.NsPerOp()),
@@ -204,10 +212,38 @@ func benchCycle(cfg cpu.Config) (Entry, error) {
 	}
 	if r.T > 0 {
 		e.Metrics = map[string]float64{
-			"minsts_per_s": float64(retired) / r.T.Seconds() / 1e6,
+			"minsts_per_s": float64(insts) / r.T.Seconds() / 1e6,
 		}
 	}
-	return e, nil
+	return e
+}
+
+// benchFastForward measures one skip primitive of sampled simulation,
+// Core.FastForward (cold) or Core.FastForwardWarm (warm), over 2M voter
+// instructions from a Skia core warmed by 200k instructions of detail.
+// Each operation skips from a fresh clone of that core.
+func benchFastForward(warm bool) (Entry, error) {
+	const skip = 2_000_000
+	base, err := cycleCore(cpu.SkiaConfig(), 200_000)
+	if err != nil {
+		return Entry{}, err
+	}
+	var skipped uint64
+	r := testing.Benchmark(func(b *testing.B) {
+		skipped = 0 // count only the final timed run
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			c := base.Clone()
+			b.StartTimer()
+			if warm {
+				skipped += c.FastForwardWarm(skip)
+			} else {
+				skipped += c.FastForward(skip)
+			}
+		}
+	})
+	return loopEntry(r, skipped), nil
 }
 
 // benchExperiment runs one experiment harness once on a reduced window
@@ -355,6 +391,8 @@ func registry() []regEntry {
 		{"frontend-cycle", func() (Entry, error) { return benchCycle(cpu.SkiaConfig()) }, 1},
 		{"frontend-cycle-nocache", func() (Entry, error) { return benchCycle(noCache) }, -1},
 		{"frontend-cycle-baseline", func() (Entry, error) { return benchCycle(cpu.DefaultConfig()) }, 1},
+		{"fastforward-cold", func() (Entry, error) { return benchFastForward(false) }, -1},
+		{"fastforward-warm", func() (Entry, error) { return benchFastForward(true) }, -1},
 		{"fig14-reduced", func() (Entry, error) { return benchExperiment(experiments.Fig14) }, -1},
 		{"fig14-sharded", benchFig14Sharded, -1},
 	}

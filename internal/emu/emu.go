@@ -31,13 +31,16 @@ type Step struct {
 // Emulator executes one workload. It is not safe for concurrent use;
 // create one per simulation run.
 type Emulator struct {
-	w     *workload.Workload
-	pc    uint64
+	w  *workload.Workload
+	pc uint64
+	// idx is pc's canonical-stream index, or outside [0,
+	// NumStaticInsts) when pc is not an instruction boundary. Tracking
+	// it lets sequential execution advance by one instead of looking pc
+	// up in the per-byte index: only taken branches do that.
+	idx   int
 	stack []uint64
 	// visits counts executions per branch site, indexed by the
-	// workload's dense canonical-stream instruction index (a flat slice
-	// beats a PC-keyed map: the lookup runs once per executed
-	// conditional or indirect branch).
+	// workload's dense site number (Ctl.Site).
 	visits []uint64
 	count  uint64
 	halted bool
@@ -52,7 +55,8 @@ func New(w *workload.Workload) *Emulator {
 	return &Emulator{
 		w:      w,
 		pc:     w.Prog.Entry,
-		visits: make([]uint64, w.NumStaticInsts()),
+		idx:    w.InstIndex(w.Prog.Entry),
+		visits: make([]uint64, w.NumSites()),
 	}
 }
 
@@ -64,6 +68,7 @@ func (e *Emulator) Clone() *Emulator {
 	c := &Emulator{
 		w:      e.w,
 		pc:     e.pc,
+		idx:    e.idx,
 		stack:  make([]uint64, len(e.stack)),
 		visits: make([]uint64, len(e.visits)),
 		count:  e.count,
@@ -109,10 +114,10 @@ func (e *Emulator) Step() (Step, error) {
 	if e.halted {
 		return Step{}, fmt.Errorf("emu: stepping a halted emulator")
 	}
-	in, ok := e.w.InstAt(e.pc)
-	if !ok {
+	if uint(e.idx) >= uint(e.w.NumStaticInsts()) {
 		return Step{}, fmt.Errorf("emu: pc %#x is not an instruction boundary", e.pc)
 	}
+	in := e.w.Inst(e.idx)
 	st := Step{Inst: in, NextPC: in.NextPC()}
 
 	switch in.Class {
@@ -122,14 +127,13 @@ func (e *Emulator) Step() (Step, error) {
 		}
 
 	case isa.ClassDirectCond:
-		b, ok := e.w.Cond[in.PC]
-		if !ok {
+		s := e.w.CtlAt(e.idx).Site
+		if s < 0 {
 			return Step{}, fmt.Errorf("emu: conditional at %#x has no behaviour", in.PC)
 		}
-		idx := e.w.InstIndex(in.PC)
-		v := e.visits[idx]
-		e.visits[idx] = v + 1
-		if b.Taken(v) {
+		v := e.visits[s]
+		e.visits[s] = v + 1
+		if e.w.CondSite(s).Taken(v) {
 			st.Taken = true
 			tgt, _ := in.BranchTarget()
 			st.NextPC = tgt
@@ -161,14 +165,13 @@ func (e *Emulator) Step() (Step, error) {
 		e.stack = e.stack[:len(e.stack)-1]
 
 	case isa.ClassIndirect, isa.ClassIndirectCall:
-		b, ok := e.w.Ind[in.PC]
-		if !ok {
+		s := e.w.CtlAt(e.idx).Site
+		if s < 0 {
 			return Step{}, fmt.Errorf("emu: indirect at %#x has no behaviour", in.PC)
 		}
-		idx := e.w.InstIndex(in.PC)
-		v := e.visits[idx]
-		e.visits[idx] = v + 1
-		tgt := b.Target(v)
+		v := e.visits[s]
+		e.visits[s] = v + 1
+		tgt := e.w.IndSite(s).Target(v)
 		if tgt == 0 {
 			return Step{}, fmt.Errorf("emu: indirect at %#x produced a nil target", in.PC)
 		}
@@ -184,17 +187,48 @@ func (e *Emulator) Step() (Step, error) {
 
 	e.pc = st.NextPC
 	e.count++
+	if st.Taken {
+		e.idx = e.w.InstIndex(e.pc)
+	} else {
+		e.idx++
+	}
 	return st, nil
+}
+
+// SkipStraight executes up to max instructions of the straight-line run
+// at pc — non-branch, non-halt instructions, which change nothing but
+// pc — in one move. It returns how many it executed and the PCs of the
+// first and last of them. n is 0 when max is 0, the emulator has halted,
+// or pc holds a branch, a halt or no instruction: Step executes those.
+func (e *Emulator) SkipStraight(max uint64) (n, first, last uint64) {
+	if e.halted || uint(e.idx) >= uint(e.w.NumStaticInsts()) {
+		return 0, 0, 0
+	}
+	n = min(uint64(e.w.CtlAt(e.idx).Run), max)
+	if n == 0 {
+		return 0, 0, 0
+	}
+	first = e.pc
+	e.idx += int(n)
+	in := e.w.Inst(e.idx - 1)
+	e.pc = in.NextPC()
+	e.count += n
+	return n, first, in.PC
 }
 
 // Run executes up to n instructions, stopping early on halt. It returns
 // the number executed.
 func (e *Emulator) Run(n uint64) (uint64, error) {
 	var i uint64
-	for i = 0; i < n && !e.halted; i++ {
+	for i < n && !e.halted {
+		if k, _, _ := e.SkipStraight(n - i); k > 0 {
+			i += k
+			continue
+		}
 		if _, err := e.Step(); err != nil {
 			return i, err
 		}
+		i++
 	}
 	return i, nil
 }

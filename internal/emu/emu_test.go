@@ -125,8 +125,8 @@ func TestBranchOutcomesMatchOracle(t *testing.T) {
 		pc := st.Inst.PC
 		switch st.Inst.Class {
 		case isa.ClassDirectCond:
-			b := w.Cond[pc]
-			if b == nil {
+			b, ok := w.CondAt(pc)
+			if !ok {
 				t.Fatalf("no behaviour for cond at %#x", pc)
 			}
 			if want := b.Taken(visits[pc]); st.Taken != want {
@@ -142,7 +142,10 @@ func TestBranchOutcomesMatchOracle(t *testing.T) {
 			}
 			visits[pc]++
 		case isa.ClassIndirect, isa.ClassIndirectCall:
-			b := w.Ind[pc]
+			b, ok := w.IndAt(pc)
+			if !ok {
+				t.Fatalf("no behaviour for indirect at %#x", pc)
+			}
 			if want := b.Target(visits[pc]); st.NextPC != want {
 				t.Fatalf("indirect at %#x went to %#x, oracle says %#x", pc, st.NextPC, want)
 			}

@@ -1,119 +1,8 @@
 package emu
 
 import (
-	"strings"
 	"testing"
-
-	"repro/internal/workload"
 )
-
-// TestMissingCondBehaviorErrors removes a conditional site's behaviour
-// and verifies the emulator reports it instead of guessing.
-func TestMissingCondBehaviorErrors(t *testing.T) {
-	w := testWorkload(t)
-	// Find the first conditional the program will actually execute.
-	probe := New(w)
-	var condPC uint64
-	for i := 0; i < 100_000; i++ {
-		st, err := probe.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := w.Cond[st.Inst.PC]; ok {
-			condPC = st.Inst.PC
-			break
-		}
-	}
-	if condPC == 0 {
-		t.Fatal("no conditional executed in probe window")
-	}
-	saved := w.Cond[condPC]
-	delete(w.Cond, condPC)
-	defer func() { w.Cond[condPC] = saved }()
-
-	e := New(w)
-	var lastErr error
-	for i := 0; i < 200_000; i++ {
-		if _, err := e.Step(); err != nil {
-			lastErr = err
-			break
-		}
-	}
-	if lastErr == nil || !strings.Contains(lastErr.Error(), "no behaviour") {
-		t.Errorf("expected behaviour error, got %v", lastErr)
-	}
-}
-
-// TestMissingIndirectBehaviorErrors does the same for indirect sites.
-func TestMissingIndirectBehaviorErrors(t *testing.T) {
-	w := testWorkload(t)
-	probe := New(w)
-	var indPC uint64
-	for i := 0; i < 500_000; i++ {
-		st, err := probe.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := w.Ind[st.Inst.PC]; ok {
-			indPC = st.Inst.PC
-			break
-		}
-	}
-	if indPC == 0 {
-		t.Skip("no indirect executed in probe window")
-	}
-	saved := w.Ind[indPC]
-	delete(w.Ind, indPC)
-	defer func() { w.Ind[indPC] = saved }()
-
-	e := New(w)
-	var lastErr error
-	for i := 0; i < 600_000; i++ {
-		if _, err := e.Step(); err != nil {
-			lastErr = err
-			break
-		}
-	}
-	if lastErr == nil || !strings.Contains(lastErr.Error(), "no behaviour") {
-		t.Errorf("expected behaviour error, got %v", lastErr)
-	}
-}
-
-// TestNilIndirectTargetErrors verifies a behaviour returning target 0 is
-// rejected rather than executed.
-func TestNilIndirectTargetErrors(t *testing.T) {
-	w := testWorkload(t)
-	probe := New(w)
-	var indPC uint64
-	for i := 0; i < 500_000; i++ {
-		st, err := probe.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := w.Ind[st.Inst.PC]; ok {
-			indPC = st.Inst.PC
-			break
-		}
-	}
-	if indPC == 0 {
-		t.Skip("no indirect executed in probe window")
-	}
-	saved := w.Ind[indPC]
-	w.Ind[indPC] = workload.RoundRobinTargets{} // empty: yields 0
-	defer func() { w.Ind[indPC] = saved }()
-
-	e := New(w)
-	var lastErr error
-	for i := 0; i < 600_000; i++ {
-		if _, err := e.Step(); err != nil {
-			lastErr = err
-			break
-		}
-	}
-	if lastErr == nil || !strings.Contains(lastErr.Error(), "nil target") {
-		t.Errorf("expected nil-target error, got %v", lastErr)
-	}
-}
 
 // TestStackCopyIsolated verifies mutations of the returned stack copy do
 // not leak into the emulator.

@@ -166,6 +166,19 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	}
 	lastLine := ^uint64(0)
 	for skipped < n && !f.em.Halted() {
+		// Sequential instructions touch no predictor state in detail
+		// mode either — identification, history pushes, and BTB fills
+		// are all branch-only — so a straight-line run is skipped in
+		// one move and only its lines are fetched: FDIP would have
+		// prefetched each of them, in order. That keeps the warm
+		// fast-forward's cost proportional to the branch density.
+		if k, first, last := f.em.SkipStraight(n - skipped); k > 0 {
+			skipped += k
+			for la := program.LineAddr(first); la <= last; la += program.LineSize {
+				lastLine = f.warmFetch(la, lastLine)
+			}
+			continue
+		}
 		st, err := f.em.Step()
 		if err != nil {
 			f.err = err
@@ -174,19 +187,9 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 		}
 		skipped++
 		in := st.Inst
-		// The fetch path: FDIP would have prefetched this line.
-		if la := program.LineAddr(in.PC); la != lastLine {
-			lastLine = la
-			if !f.l1i.Prefetch(la) {
-				f.l2.Prefetch(la)
-			}
-		}
+		lastLine = f.warmFetch(program.LineAddr(in.PC), lastLine)
 		if !in.Class.IsBranch() {
-			// Sequential instructions touch no predictor state in detail
-			// mode either — identification, history pushes, and BTB fills
-			// are all branch-only. Skipping them here keeps the warm
-			// fast-forward's cost proportional to the branch density.
-			continue
+			continue // a halt
 		}
 
 		// Would the IAG have identified this branch? Detail mode only
@@ -274,6 +277,16 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	f.tg.SyncSpec()
 	f.it.SyncSpec()
 	return skipped
+}
+
+// warmFetch is the fetch path of functional warming: it prefetches line
+// la into the instruction-cache hierarchy unless la is lastLine, the
+// line fetched just before, and returns la as the new lastLine.
+func (f *FrontEnd) warmFetch(la, lastLine uint64) uint64 {
+	if la != lastLine && !f.l1i.Prefetch(la) {
+		f.l2.Prefetch(la)
+	}
+	return la
 }
 
 // warmShadowDecode runs one head or tail shadow decode during

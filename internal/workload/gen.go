@@ -14,21 +14,43 @@ import (
 type Workload struct {
 	Profile Profile
 	Prog    *program.Program
-	// Cond maps a conditional branch site PC to its outcome behaviour.
-	Cond map[uint64]CondBehavior
-	// Ind maps an indirect branch/call site PC to its target behaviour.
-	Ind map[uint64]IndirectBehavior
 
-	// instIdx maps image offset -> index into insts, or -1 when the
+	// instIdx maps image offset -> 1 + index into insts, or 0 when the
 	// offset is not an instruction boundary on the canonical stream.
 	instIdx []int32
 	insts   []isa.Inst
+	// ctl holds one control entry per canonical instruction (see Ctl).
+	ctl []Ctl
+	// sites holds the behaviour oracle: one entry per conditional or
+	// indirect branch site, in canonical-stream order. It is the only
+	// store of behaviours; Ctl.Site indexes it.
+	sites []site
 	// branchMask holds, per image line ((lineAddr-Prog.Base)/LineSize),
 	// a bitmask of the in-line byte offsets of branch instructions
 	// starting in that line. The IAG scan uses it to probe the BTB/SBB
 	// only at plausible branch sites, the software equivalent of the
 	// hardware's per-byte parallel probe.
 	branchMask []uint64
+}
+
+// Ctl is one entry of the workload's control table: what executing a
+// canonical instruction needs beyond its decode.
+type Ctl struct {
+	// Run is the length of the straight-line run starting here: the
+	// number of non-branch, non-halt instructions before the next
+	// control-flow instruction. It is 0 for branches and halts.
+	Run uint32
+	// Site indexes the branch sites for a conditional or indirect
+	// branch (see CondSite, IndSite), and is -1 for every other
+	// instruction.
+	Site int32
+}
+
+// site is one branch site's behaviour: cond for a conditional, ind for
+// an indirect branch or call.
+type site struct {
+	cond CondBehavior
+	ind  IndirectBehavior
 }
 
 // BranchMask returns the branch start offsets within the line at
@@ -49,7 +71,7 @@ func (w *Workload) InstAt(pc uint64) (isa.Inst, bool) {
 	if !w.Prog.Contains(pc) {
 		return isa.Inst{}, false
 	}
-	idx := w.instIdx[pc-w.Prog.Base]
+	idx := w.instIdx[pc-w.Prog.Base] - 1
 	if idx < 0 {
 		return isa.Inst{}, false
 	}
@@ -64,7 +86,54 @@ func (w *Workload) InstIndex(pc uint64) int {
 	if !w.Prog.Contains(pc) {
 		return -1
 	}
-	return int(w.instIdx[pc-w.Prog.Base])
+	return int(w.instIdx[pc-w.Prog.Base]) - 1
+}
+
+// Inst returns the canonical instruction at index i, which must lie in
+// [0, NumStaticInsts).
+func (w *Workload) Inst(i int) isa.Inst { return w.insts[i] }
+
+// CtlAt returns the control entry of the canonical instruction at
+// index i, which must lie in [0, NumStaticInsts).
+func (w *Workload) CtlAt(i int) Ctl { return w.ctl[i] }
+
+// NumSites returns the number of conditional and indirect branch sites,
+// the range of Ctl.Site.
+func (w *Workload) NumSites() int { return len(w.sites) }
+
+// CondSite returns the behaviour of conditional site s.
+func (w *Workload) CondSite(s int32) CondBehavior { return w.sites[s].cond }
+
+// IndSite returns the behaviour of indirect site s.
+func (w *Workload) IndSite(s int32) IndirectBehavior { return w.sites[s].ind }
+
+// CondAt returns the behaviour of the conditional branch at pc, if pc
+// is one with a behaviour.
+func (w *Workload) CondAt(pc uint64) (CondBehavior, bool) {
+	s := w.siteAt(pc)
+	if s < 0 || w.sites[s].cond == nil {
+		return nil, false
+	}
+	return w.sites[s].cond, true
+}
+
+// IndAt returns the behaviour of the indirect branch or call at pc, if
+// pc is one with a behaviour.
+func (w *Workload) IndAt(pc uint64) (IndirectBehavior, bool) {
+	s := w.siteAt(pc)
+	if s < 0 || w.sites[s].ind == nil {
+		return nil, false
+	}
+	return w.sites[s].ind, true
+}
+
+// siteAt returns the site index of the branch at pc, or -1.
+func (w *Workload) siteAt(pc uint64) int32 {
+	i := w.InstIndex(pc)
+	if i < 0 {
+		return -1
+	}
+	return w.ctl[i].Site
 }
 
 // NumStaticInsts returns the count of instructions on the canonical
@@ -148,18 +217,15 @@ func Generate(prof Profile) (*Workload, error) {
 		return nil, fmt.Errorf("workload %s: %w", prof.Name, err)
 	}
 
-	w := &Workload{
-		Profile: prof,
-		Prog:    prog,
-		Cond:    make(map[uint64]CondBehavior, len(g.conds)),
-		Ind:     make(map[uint64]IndirectBehavior, len(g.inds)),
-	}
+	// Behaviours are keyed by PC only until buildInstIndex moves them
+	// into the dense site table.
+	behav := make(map[uint64]site, len(g.conds)+len(g.inds))
 	for _, ci := range g.conds {
 		pc, ok := prog.LabelAddr(ci.label)
 		if !ok {
 			return nil, fmt.Errorf("workload %s: unresolved cond site %q", prof.Name, ci.label)
 		}
-		w.Cond[pc] = ci.b
+		behav[pc] = site{cond: ci.b}
 	}
 	for _, ii := range g.inds {
 		pc, ok := prog.LabelAddr(ii.label)
@@ -175,13 +241,14 @@ func Generate(prof Profile) (*Workload, error) {
 			targets = append(targets, a)
 		}
 		if ii.mega {
-			w.Ind[pc] = HashTargets{Targets: targets, Salt: ii.salt}
+			behav[pc] = site{ind: HashTargets{Targets: targets, Salt: ii.salt}}
 		} else {
-			w.Ind[pc] = RoundRobinTargets{Targets: targets}
+			behav[pc] = site{ind: RoundRobinTargets{Targets: targets}}
 		}
 	}
 
-	if err := w.buildInstIndex(); err != nil {
+	w := &Workload{Profile: prof, Prog: prog}
+	if err := w.buildInstIndex(behav); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -199,29 +266,61 @@ func MustGenerate(prof Profile) *Workload {
 
 // buildInstIndex decodes the whole image sequentially. Every generated
 // byte is part of exactly one instruction on this canonical stream
-// (padding is NOPs), so sequential decode recovers all boundaries.
-func (w *Workload) buildInstIndex() error {
+// (padding is NOPs), so sequential decode recovers all boundaries. A
+// length-only pass finds them first, so every table is allocated once
+// at its final size; growing insts by append copied more than that pass
+// costs. The decode pass then gives each conditional or indirect branch
+// its behaviour from behav (keyed by PC) as the next site, and a
+// backward pass records the straight-line run starting at each
+// instruction.
+func (w *Workload) buildInstIndex(behav map[uint64]site) error {
 	code := w.Prog.Code
 	w.instIdx = make([]int32, len(code))
-	for i := range w.instIdx {
-		w.instIdx[i] = -1
-	}
-	off := 0
+	n, off := 0, 0
 	for off < len(code) {
-		in, err := isa.Decode(code[off:], w.Prog.Base+uint64(off))
-		if err != nil {
+		l := isa.LengthAt(code, off)
+		if l == 0 {
+			_, err := isa.Decode(code[off:], w.Prog.Base+uint64(off))
 			return fmt.Errorf("workload %s: image not decodable at offset %d: %w", w.Profile.Name, off, err)
 		}
-		w.instIdx[off] = int32(len(w.insts))
-		w.insts = append(w.insts, in)
+		n++
+		w.instIdx[off] = int32(n)
+		off += l
+	}
+
+	w.insts = make([]isa.Inst, n)
+	w.ctl = make([]Ctl, n)
+	w.sites = make([]site, 0, len(behav))
+	w.branchMask = make([]uint64, (len(code)+program.LineSize-1)/program.LineSize)
+	off = 0
+	for i := range w.insts {
+		in, _ := isa.TryDecode(code[off:], w.Prog.Base+uint64(off)) // LengthAt decoded it
+		w.insts[i] = in
+		w.ctl[i].Site = -1
+		if in.Class.IsBranch() {
+			w.branchMask[off/program.LineSize] |= 1 << program.LineOffset(in.PC)
+		}
+		if in.Class == isa.ClassDirectCond || in.Class == isa.ClassIndirect || in.Class == isa.ClassIndirectCall {
+			if b, ok := behav[in.PC]; ok && (b.cond != nil) == (in.Class == isa.ClassDirectCond) {
+				w.ctl[i].Site = int32(len(w.sites))
+				w.sites = append(w.sites, b)
+			}
+		}
 		off += int(in.Len)
 	}
-	w.branchMask = make([]uint64, (len(code)+program.LineSize-1)/program.LineSize)
-	for i := range w.insts {
-		in := &w.insts[i]
-		if in.Class.IsBranch() {
-			w.branchMask[(in.PC-w.Prog.Base)/program.LineSize] |= 1 << program.LineOffset(in.PC)
+	if len(w.sites) != len(behav) {
+		return fmt.Errorf("workload %s: %d of %d behaviours do not label a branch of their kind",
+			w.Profile.Name, len(behav)-len(w.sites), len(behav))
+	}
+
+	var run uint32
+	for i := n - 1; i >= 0; i-- {
+		if in := &w.insts[i]; in.Class.IsBranch() || in.Op == isa.OpHalt {
+			run = 0
+		} else {
+			run++
 		}
+		w.ctl[i].Run = run
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -96,8 +97,8 @@ func TestGenerateDeterministic(t *testing.T) {
 	if !bytes.Equal(w1.Prog.Code, w2.Prog.Code) {
 		t.Error("generation is not deterministic")
 	}
-	if len(w1.Cond) != len(w2.Cond) || len(w1.Ind) != len(w2.Ind) {
-		t.Error("behaviour maps differ across runs")
+	if !slices.Equal(w1.ctl, w2.ctl) || len(w1.sites) != len(w2.sites) {
+		t.Error("control tables differ across runs")
 	}
 }
 
@@ -159,11 +160,11 @@ func TestEveryCondSiteHasBehavior(t *testing.T) {
 		in, _ := w.InstAt(pc)
 		switch in.Class {
 		case isa.ClassDirectCond:
-			if _, ok := w.Cond[in.PC]; !ok {
+			if _, ok := w.CondAt(in.PC); !ok {
 				missingCond++
 			}
 		case isa.ClassIndirect, isa.ClassIndirectCall:
-			if _, ok := w.Ind[in.PC]; !ok {
+			if _, ok := w.IndAt(in.PC); !ok {
 				missingInd++
 			}
 		}
@@ -193,7 +194,12 @@ func TestBranchTargetsInsideImage(t *testing.T) {
 
 func TestIndirectTargetsAreFunctionEntries(t *testing.T) {
 	w := MustGenerate(smallProfile())
-	for pc, b := range w.Ind {
+	for i := range w.insts {
+		pc := w.insts[i].PC
+		b, ok := w.IndAt(pc)
+		if !ok {
+			continue
+		}
 		for v := uint64(0); v < 32; v++ {
 			tgt := b.Target(v)
 			f := w.Prog.FuncAt(tgt)
