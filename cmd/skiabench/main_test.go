@@ -13,7 +13,7 @@ import (
 // bench gate reads decodes, and re-encoding it reproduces the file
 // byte for byte, so the envelope layout has not drifted.
 func TestDecodeEnvelopeCommittedBaseline(t *testing.T) {
-	data, err := os.ReadFile("../../BENCH_20.json")
+	data, err := os.ReadFile("../../BENCH_16.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestDecodeEnvelopeCommittedBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(env.Entries) == 0 || env.NonTestLines == 0 {
+	if len(env.Entries) == 0 || env.NonTestLines != 0 {
 		t.Fatalf("decoded %d entries, non_test_lines %d", len(env.Entries), env.NonTestLines)
 	}
 	back, err := json.MarshalIndent(env, "", "  ")
@@ -29,7 +29,7 @@ func TestDecodeEnvelopeCommittedBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(append(back, '\n'), data) {
-		t.Error("re-encoded BENCH_20.json differs from the committed file")
+		t.Error("re-encoded BENCH_16.json differs from the committed file")
 	}
 }
 

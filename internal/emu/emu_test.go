@@ -113,6 +113,22 @@ func TestReturnTargetsMatchCallSites(t *testing.T) {
 	}
 }
 
+// condAt and indAt read the behaviour of the branch at pc through the
+// workload's control table, or nil when pc has none.
+func condAt(w *workload.Workload, pc uint64) workload.CondBehavior {
+	if i := w.InstIndex(pc); i >= 0 && w.CtlAt(i).Site >= 0 {
+		return w.CondSite(w.CtlAt(i).Site)
+	}
+	return nil
+}
+
+func indAt(w *workload.Workload, pc uint64) workload.IndirectBehavior {
+	if i := w.InstIndex(pc); i >= 0 && w.CtlAt(i).Site >= 0 {
+		return w.IndSite(w.CtlAt(i).Site)
+	}
+	return nil
+}
+
 func TestBranchOutcomesMatchOracle(t *testing.T) {
 	w := testWorkload(t)
 	e := New(w)
@@ -125,8 +141,8 @@ func TestBranchOutcomesMatchOracle(t *testing.T) {
 		pc := st.Inst.PC
 		switch st.Inst.Class {
 		case isa.ClassDirectCond:
-			b, ok := w.CondAt(pc)
-			if !ok {
+			b := condAt(w, pc)
+			if b == nil {
 				t.Fatalf("no behaviour for cond at %#x", pc)
 			}
 			if want := b.Taken(visits[pc]); st.Taken != want {
@@ -142,8 +158,8 @@ func TestBranchOutcomesMatchOracle(t *testing.T) {
 			}
 			visits[pc]++
 		case isa.ClassIndirect, isa.ClassIndirectCall:
-			b, ok := w.IndAt(pc)
-			if !ok {
+			b := indAt(w, pc)
+			if b == nil {
 				t.Fatalf("no behaviour for indirect at %#x", pc)
 			}
 			if want := b.Target(visits[pc]); st.NextPC != want {

@@ -107,35 +107,6 @@ func (w *Workload) CondSite(s int32) CondBehavior { return w.sites[s].cond }
 // IndSite returns the behaviour of indirect site s.
 func (w *Workload) IndSite(s int32) IndirectBehavior { return w.sites[s].ind }
 
-// CondAt returns the behaviour of the conditional branch at pc, if pc
-// is one with a behaviour.
-func (w *Workload) CondAt(pc uint64) (CondBehavior, bool) {
-	s := w.siteAt(pc)
-	if s < 0 || w.sites[s].cond == nil {
-		return nil, false
-	}
-	return w.sites[s].cond, true
-}
-
-// IndAt returns the behaviour of the indirect branch or call at pc, if
-// pc is one with a behaviour.
-func (w *Workload) IndAt(pc uint64) (IndirectBehavior, bool) {
-	s := w.siteAt(pc)
-	if s < 0 || w.sites[s].ind == nil {
-		return nil, false
-	}
-	return w.sites[s].ind, true
-}
-
-// siteAt returns the site index of the branch at pc, or -1.
-func (w *Workload) siteAt(pc uint64) int32 {
-	i := w.InstIndex(pc)
-	if i < 0 {
-		return -1
-	}
-	return w.ctl[i].Site
-}
-
 // NumStaticInsts returns the count of instructions on the canonical
 // stream, a measure of the code footprint.
 func (w *Workload) NumStaticInsts() int { return len(w.insts) }
