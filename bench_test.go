@@ -155,7 +155,7 @@ func BenchmarkBoltComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndexPolicy sweeps First/Zero/Merge head-decode
+// BenchmarkAblationIndexPolicy sweeps the First/Merge head-decode
 // start policies (DESIGN.md ablation 2).
 func BenchmarkAblationIndexPolicy(b *testing.B) {
 	runOnce(b, experiments.AblationIndexPolicy)

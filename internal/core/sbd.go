@@ -22,7 +22,9 @@
 // land exactly on the entry point) — with the paper's two throttles:
 // lines with more than MaxValidPaths valid chains are discarded, and
 // the start index is chosen by a configurable policy (First, the
-// paper's winner; Zero; or Merge).
+// paper's winner; or Merge). The paper's third policy, Zero (start at
+// byte 0 when its path is valid), is not modelled: byte 0 is the
+// lowest candidate, so a valid byte-0 path is always First's pick too.
 package core
 
 import (
@@ -38,10 +40,6 @@ const (
 	// FirstIndex decodes from the lowest start byte that begins a valid
 	// path — the paper's empirically best policy and the default.
 	FirstIndex IndexPolicy = iota
-	// ZeroIndex decodes from byte 0 whenever any valid path exists,
-	// falling back to the first valid index when byte 0's path is
-	// invalid.
-	ZeroIndex
 	// MergeIndex decodes from the deepest index shared by the most
 	// valid paths (the merge point).
 	MergeIndex
@@ -52,8 +50,6 @@ func (p IndexPolicy) String() string {
 	switch p {
 	case FirstIndex:
 		return "first"
-	case ZeroIndex:
-		return "zero"
 	case MergeIndex:
 		return "merge"
 	}
@@ -307,12 +303,7 @@ func (d *SBD) headCore(line []byte, lineAddr uint64, entryOff int, dst []ShadowB
 	}
 
 	start := firstValid
-	switch d.cfg.Policy {
-	case ZeroIndex:
-		if d.valid[0] {
-			start = 0
-		}
-	case MergeIndex:
+	if d.cfg.Policy == MergeIndex {
 		// The merge point: the deepest index visited by all valid
 		// paths; pick the highest-visit-count index, breaking ties
 		// toward the deepest.

@@ -305,10 +305,6 @@ func TestHeadPolicies(t *testing.T) {
 	if got := run(FirstIndex); len(got) != 1 || got[0].Class != isa.ClassReturn {
 		t.Errorf("first-index got %+v", got)
 	}
-	// Zero: byte 0's path is valid, so same as starting at zero.
-	if got := run(ZeroIndex); len(got) != 1 || got[0].Class != isa.ClassReturn {
-		t.Errorf("zero-index got %+v", got)
-	}
 	// Merge: starts at the merge point 1 (visited by both paths),
 	// skipping the ret.
 	if got := run(MergeIndex); len(got) != 0 {
@@ -316,9 +312,9 @@ func TestHeadPolicies(t *testing.T) {
 	}
 }
 
-func TestZeroIndexFallsBack(t *testing.T) {
+func TestFirstIndexSkipsInvalidByteZero(t *testing.T) {
 	// Byte 0 does not begin a valid path (invalid opcode), but byte 1
-	// does; ZeroIndex must fall back to the first valid index.
+	// does; FirstIndex must start at the first valid index.
 	line := make([]byte, program.LineSize)
 	line[0] = 0x06 // invalid
 	line[1] = 0xC3 // ret -> 2 = entry
@@ -326,7 +322,7 @@ func TestZeroIndexFallsBack(t *testing.T) {
 		line[i] = 0x90
 	}
 	cfg := DefaultSBDConfig()
-	cfg.Policy = ZeroIndex
+	cfg.Policy = FirstIndex
 	cfg.RequireCorroboration = false
 	got := NewSBD(cfg).DecodeHead(line, 0, 2, nil)
 	if len(got) != 1 || got[0].Class != isa.ClassReturn {
@@ -366,7 +362,7 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestIndexPolicyString(t *testing.T) {
-	if FirstIndex.String() != "first" || ZeroIndex.String() != "zero" || MergeIndex.String() != "merge" {
+	if FirstIndex.String() != "first" || MergeIndex.String() != "merge" {
 		t.Error("policy names wrong")
 	}
 	if IndexPolicy(99).String() != "unknown" {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/cpu"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -21,7 +22,8 @@ func TestCalibrateAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.Run(baselineSpec(b, o))
+		res, err := r.Run(sim.RunSpec{Benchmark: b, Config: cpu.DefaultConfig(),
+			Warmup: o.Warmup, Measure: o.Measure, Label: "baseline"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,6 +40,5 @@ func TestCalibrateAll(t *testing.T) {
 			res.BTBMissL1IHitFrac, stats.MPKI(fe.CondMispredicts, res.Instructions),
 			pc(fe.BTBMissCond), pc(fe.BTBMissUncond), pc(fe.BTBMissCall), pc(fe.BTBMissReturn), pc(fe.BTBMissIndirect),
 			res.IPC)
-		_ = sim.DefaultWarmup
 	}
 }

@@ -1,7 +1,8 @@
 // Package experiments contains one harness per table and figure in the
 // paper's evaluation (Section 6), plus the ablations DESIGN.md calls
-// out. Each harness assembles RunSpecs, executes them through a
-// sim.Runner, and renders the same rows/series the paper reports.
+// out. Each harness declares its configuration variants, runs every
+// variant on every benchmark through one sweep, and renders the same
+// rows/series the paper reports.
 // Absolute numbers differ from the paper's gem5 testbed; the harnesses
 // exist to reproduce the shapes: who wins, by roughly what factor, and
 // where the crossovers fall.
@@ -45,11 +46,6 @@ type Options struct {
 	// Attrib enables miss attribution on every run; per-spec summaries
 	// are embedded in the report envelope's `attribution` section.
 	Attrib bool
-	// NoDecodeCache disables the simulator-side shadow-decode
-	// memoization (see frontend.Config.NoDecodeCache) on every run.
-	// Reports are identical either way — the flag exists for
-	// differential testing and performance comparison.
-	NoDecodeCache bool
 	// Sample, when non-nil, switches every run to sampled simulation
 	// (see sim.SamplePlan): K detail intervals spliced evenly across
 	// the measurement window, skipped-over stretches covered by
@@ -136,36 +132,76 @@ func (r *Report) String() string {
 	return s
 }
 
-// config applies run-wide Options toggles to a core configuration.
-// Every spec builder routes its config through here so switches like
-// NoDecodeCache reach ad-hoc ablation configs too.
-func (o Options) config(c cpu.Config) cpu.Config {
-	c.Frontend.NoDecodeCache = o.NoDecodeCache
-	return c
+// variant is one configuration a sweep runs on every benchmark; label
+// names it in the report envelope's config_labels.
+type variant struct {
+	label string
+	cfg   cpu.Config
 }
 
-// baselineSpec builds the paper's Table 1 baseline spec for a
-// benchmark.
-func baselineSpec(bench string, o Options) sim.RunSpec {
-	return sim.RunSpec{
-		Benchmark: bench,
-		Config:    o.config(cpu.DefaultConfig()),
-		Warmup:    o.Warmup,
-		Measure:   o.Measure,
-		Label:     "baseline",
-	}
+// baseline is the paper's Table 1 core; skia is the default Skia core.
+func baseline() variant { return variant{"baseline", cpu.DefaultConfig()} }
+func skia() variant     { return variant{"skia", cpu.SkiaConfig()} }
+
+// vary returns c changed by set, labelled label.
+func vary(label string, c cpu.Config, set func(*cpu.Config)) variant {
+	set(&c)
+	return variant{label, c}
 }
 
-// skiaSpec builds the default Skia spec for a benchmark.
-func skiaSpec(bench string, o Options) sim.RunSpec {
-	return sim.RunSpec{
-		Benchmark: bench,
-		Config:    o.config(cpu.SkiaConfig()),
-		Warmup:    o.Warmup,
-		Measure:   o.Measure,
-		Label:     "skia",
-	}
+// sweep is a finished variant × benchmark grid: res[v][b] is variant v
+// run on benchmark b.
+type sweep struct {
+	o       Options
+	r       *sim.Runner
+	benches []string
+	res     [][]sim.Result
 }
+
+// sweep runs every variant on every benchmark through one RunAll.
+func (o Options) sweep(benches []string, vs ...variant) (*sweep, error) {
+	var specs []sim.RunSpec
+	for _, v := range vs {
+		for _, b := range benches {
+			specs = append(specs, sim.RunSpec{Benchmark: b, Config: v.cfg,
+				Warmup: o.Warmup, Measure: o.Measure, Label: v.label})
+		}
+	}
+	s := &sweep{o: o, r: o.runner(), benches: benches}
+	flat, err := s.r.RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	n := len(benches)
+	for v := range vs {
+		s.res = append(s.res, flat[v*n:(v+1)*n])
+	}
+	return s, nil
+}
+
+// gain is variant v's geomean IPC speedup over variant 0.
+func (s *sweep) gain(v int) float64 {
+	ipcs := func(v int) []float64 {
+		out := make([]float64, len(s.res[v]))
+		for i, res := range s.res[v] {
+			out[i] = res.IPC
+		}
+		return out
+	}
+	return stats.GeomeanSpeedup(ipcs(v), ipcs(0))
+}
+
+// sum totals one counter over variant v's benchmarks.
+func (s *sweep) sum(v int, f func(sim.Result) uint64) uint64 {
+	var n uint64
+	for _, res := range s.res[v] {
+		n += f(res)
+	}
+	return n
+}
+
+// report stamps rep with the sweep's run metadata.
+func (s *sweep) report(rep *Report) *Report { return s.o.stamp(rep, s.r, s.benches) }
 
 // pct formats a fraction as a percentage string.
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }

@@ -65,13 +65,7 @@ func Table2() (*Report, error) {
 // gain), showing the technique is robust to software layout
 // optimization.
 func Bolt(o Options) (*Report, error) {
-	r := o.runner()
-	variants := []string{"verilator", "verilator-bolted"}
-	var specs []sim.RunSpec
-	for _, b := range variants {
-		specs = append(specs, baselineSpec(b, o), skiaSpec(b, o))
-	}
-	results, err := r.RunAll(specs)
+	s, err := o.sweep([]string{"verilator", "verilator-bolted"}, baseline(), skia())
 	if err != nil {
 		return nil, err
 	}
@@ -79,8 +73,8 @@ func Bolt(o Options) (*Report, error) {
 		SetUnits(stats.UnitNone, stats.UnitIPC, stats.UnitIPC, stats.UnitSpeedup, stats.UnitMPKI)
 	rep := &Report{ID: "bolt", Title: "Skia on pre-BOLT vs bolted verilator", Table: tb}
 	var gains []float64
-	for i, b := range variants {
-		base, skia := results[2*i], results[2*i+1]
+	for i, b := range s.benches {
+		base, skia := s.res[0][i], s.res[1][i]
 		gain := stats.Speedup(skia.IPC, base.IPC)
 		gains = append(gains, gain)
 		tb.AddCells(cStr(b), cF3(base.IPC), cF3(skia.IPC), cPct(gain), cF2(base.BTBMissMPKI))
@@ -88,51 +82,34 @@ func Bolt(o Options) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"paper: pre-BOLT gains (10.27%%) exceed bolted gains; measured %s vs %s",
 		pct(gains[0]), pct(gains[1])))
-	return o.stamp(rep, r, variants), nil
+	return s.report(rep), nil
 }
 
+// bogusInserts, sbbCovered and phantoms read the counters the ablation
+// tables sum over a variant's benchmarks.
+func bogusInserts(r sim.Result) uint64 { return r.FE.SBDBogusInserts }
+func sbbCovered(r sim.Result) uint64   { return r.FE.SBBCoveredTotal() }
+func phantoms(r sim.Result) uint64     { return r.FE.PhantomBranches }
+
 // AblationIndexPolicy sweeps the Head decoder's start-index policy
-// (paper Section 3.2.2: First beats Zero and Merge).
+// (paper Section 3.2.2: First beats Merge).
 func AblationIndexPolicy(o Options) (*Report, error) {
-	r := o.runner()
-	benches := o.benchmarks()
-	policies := []core.IndexPolicy{core.FirstIndex, core.ZeroIndex, core.MergeIndex}
-	var specs []sim.RunSpec
-	for _, b := range benches {
-		specs = append(specs, baselineSpec(b, o))
-	}
+	policies := []core.IndexPolicy{core.FirstIndex, core.MergeIndex}
+	vs := []variant{baseline()}
 	for _, pol := range policies {
-		cfg := cpu.SkiaConfig()
-		cfg.Frontend.SBD.Policy = pol
-		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
-				Warmup: o.Warmup, Measure: o.Measure, Label: pol.String()})
-		}
+		vs = append(vs, vary(pol.String(), cpu.SkiaConfig(), func(c *cpu.Config) { c.Frontend.SBD.Policy = pol }))
 	}
-	results, err := r.RunAll(specs)
+	s, err := o.sweep(o.benchmarks(), vs...)
 	if err != nil {
 		return nil, err
 	}
-	n := len(benches)
-	baseIPC := make([]float64, n)
-	for i := range benches {
-		baseIPC[i] = results[i].IPC
-	}
 	tb := stats.NewTable("policy", "geomean_speedup", "bogus_inserts").
 		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitCount)
-	rep := &Report{ID: "ablation-index", Title: "Head decode index policy (First/Zero/Merge)", Table: tb}
-	idx := n
-	for _, pol := range policies {
-		ipcs := make([]float64, n)
-		var bogus uint64
-		for i := 0; i < n; i++ {
-			ipcs[i] = results[idx].IPC
-			bogus += results[idx].FE.SBDBogusInserts
-			idx++
-		}
-		tb.AddCells(cStr(pol.String()), cPct(stats.GeomeanSpeedup(ipcs, baseIPC)), cInt(bogus))
+	rep := &Report{ID: "ablation-index", Title: "Head decode index policy (First/Merge)", Table: tb}
+	for i, pol := range policies {
+		tb.AddCells(cStr(pol.String()), cPct(s.gain(1+i)), cInt(s.sum(1+i, bogusInserts)))
 	}
-	return o.stamp(rep, r, benches), nil
+	return s.report(rep), nil
 }
 
 // AblationPathCap sweeps the Head decoder's valid-path cap (paper
@@ -141,157 +118,74 @@ func AblationPathCap(o Options, caps []int) (*Report, error) {
 	if len(caps) == 0 {
 		caps = []int{1, 2, 4, 6, 8, 12}
 	}
-	r := o.runner()
-	benches := o.benchmarks()
-	var specs []sim.RunSpec
-	for _, b := range benches {
-		specs = append(specs, baselineSpec(b, o))
+	vs := []variant{baseline()}
+	for _, n := range caps {
+		vs = append(vs, vary(fmt.Sprintf("cap%d", n), cpu.SkiaConfig(),
+			func(c *cpu.Config) { c.Frontend.SBD.MaxValidPaths = n }))
 	}
-	for _, c := range caps {
-		cfg := cpu.SkiaConfig()
-		cfg.Frontend.SBD.MaxValidPaths = c
-		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
-				Warmup: o.Warmup, Measure: o.Measure, Label: fmt.Sprintf("cap%d", c)})
-		}
-	}
-	results, err := r.RunAll(specs)
+	s, err := o.sweep(o.benchmarks(), vs...)
 	if err != nil {
 		return nil, err
-	}
-	n := len(benches)
-	baseIPC := make([]float64, n)
-	for i := range benches {
-		baseIPC[i] = results[i].IPC
 	}
 	tb := stats.NewTable("max_valid_paths", "geomean_speedup", "head_discard_frac", "bogus_inserts").
 		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitFrac, stats.UnitCount)
 	rep := &Report{ID: "ablation-pathcap", Title: "Head decode valid-path cap", Table: tb}
-	idx := n
-	for _, c := range caps {
-		ipcs := make([]float64, n)
-		var disc, regions, bogus uint64
-		for i := 0; i < n; i++ {
-			ipcs[i] = results[idx].IPC
-			disc += results[idx].SBD.HeadDiscarded
-			regions += results[idx].SBD.HeadRegions
-			bogus += results[idx].FE.SBDBogusInserts
-			idx++
-		}
+	for i, n := range caps {
+		v := 1 + i
+		disc := s.sum(v, func(r sim.Result) uint64 { return r.SBD.HeadDiscarded })
+		regions := s.sum(v, func(r sim.Result) uint64 { return r.SBD.HeadRegions })
 		frac := 0.0
 		if regions > 0 {
 			frac = float64(disc) / float64(regions)
 		}
-		tb.AddCells(cStr(fmt.Sprintf("%d", c)), cPct(stats.GeomeanSpeedup(ipcs, baseIPC)),
-			cPct(frac), cInt(bogus))
+		tb.AddCells(cStr(fmt.Sprintf("%d", n)), cPct(s.gain(v)), cPct(frac), cInt(s.sum(v, bogusInserts)))
 	}
-	return o.stamp(rep, r, benches), nil
+	return s.report(rep), nil
 }
 
 // AblationReplacement compares the SBB's retired-first eviction
 // (Section 4.3) with plain LRU, and the insert filter that skips
 // BTB-resident branches.
 func AblationReplacement(o Options) (*Report, error) {
-	r := o.runner()
-	benches := o.benchmarks()
-	variants := []struct {
-		name                 string
-		retiredFirst, filter bool
-	}{
-		{"retired-first (paper)", true, false},
-		{"plain LRU", false, false},
-		{"retired-first + filter", true, true},
+	sbb := func(label string, retiredFirst, filter bool) variant {
+		return vary(label, cpu.SkiaConfig(), func(c *cpu.Config) {
+			c.Frontend.SBB.RetiredFirstEviction, c.Frontend.SBB.FilterBTBResident = retiredFirst, filter
+		})
 	}
-	var specs []sim.RunSpec
-	for _, b := range benches {
-		specs = append(specs, baselineSpec(b, o))
-	}
-	for _, v := range variants {
-		cfg := cpu.SkiaConfig()
-		cfg.Frontend.SBB.RetiredFirstEviction = v.retiredFirst
-		cfg.Frontend.SBB.FilterBTBResident = v.filter
-		for _, b := range benches {
-			specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(cfg),
-				Warmup: o.Warmup, Measure: o.Measure, Label: v.name})
-		}
-	}
-	results, err := r.RunAll(specs)
+	vs := []variant{baseline(),
+		sbb("retired-first (paper)", true, false),
+		sbb("plain LRU", false, false),
+		sbb("retired-first + filter", true, true)}
+	s, err := o.sweep(o.benchmarks(), vs...)
 	if err != nil {
 		return nil, err
-	}
-	n := len(benches)
-	baseIPC := make([]float64, n)
-	for i := range benches {
-		baseIPC[i] = results[i].IPC
 	}
 	tb := stats.NewTable("variant", "geomean_speedup", "sbb_covered", "bogus_used").
 		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitCount, stats.UnitCount)
 	rep := &Report{ID: "ablation-replacement", Title: "SBB replacement and insert-filter ablations", Table: tb}
-	idx := n
-	for _, v := range variants {
-		ipcs := make([]float64, n)
-		var cov, bogus uint64
-		for i := 0; i < n; i++ {
-			cov += results[idx].FE.SBBCoveredTotal()
-			bogus += results[idx].FE.BogusSBBUsed
-			ipcs[i] = results[idx].IPC
-			idx++
-		}
-		tb.AddCells(cStr(v.name), cPct(stats.GeomeanSpeedup(ipcs, baseIPC)),
-			cInt(cov), cInt(bogus))
+	for v := 1; v < len(vs); v++ {
+		tb.AddCells(cStr(vs[v].label), cPct(s.gain(v)), cInt(s.sum(v, sbbCovered)),
+			cInt(s.sum(v, func(r sim.Result) uint64 { return r.FE.BogusSBBUsed })))
 	}
-	return o.stamp(rep, r, benches), nil
+	return s.report(rep), nil
 }
 
 // AblationInsertIntoBTB compares the paper's parallel SBB against
 // inserting shadow branches straight into the BTB (the design the
 // paper rejects in Section 4.2).
 func AblationInsertIntoBTB(o Options) (*Report, error) {
-	r := o.runner()
-	benches := o.benchmarks()
-	sbbCfg := cpu.SkiaConfig()
-	directCfg := cpu.SkiaConfig()
-	directCfg.Frontend.SBDToBTB = true
-
-	var specs []sim.RunSpec
-	for _, b := range benches {
-		specs = append(specs, baselineSpec(b, o))
-	}
-	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(sbbCfg),
-			Warmup: o.Warmup, Measure: o.Measure, Label: "sbb"})
-	}
-	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(directCfg),
-			Warmup: o.Warmup, Measure: o.Measure, Label: "direct-to-btb"})
-	}
-	results, err := r.RunAll(specs)
+	s, err := o.sweep(o.benchmarks(), baseline(),
+		variant{"sbb", cpu.SkiaConfig()},
+		vary("direct-to-btb", cpu.SkiaConfig(), func(c *cpu.Config) { c.Frontend.SBDToBTB = true }))
 	if err != nil {
 		return nil, err
-	}
-	n := len(benches)
-	baseIPC := make([]float64, n)
-	for i := range benches {
-		baseIPC[i] = results[i].IPC
-	}
-	sbbIPC := make([]float64, n)
-	dirIPC := make([]float64, n)
-	var dirPhantoms uint64
-	for i := 0; i < n; i++ {
-		sbbIPC[i] = results[n+i].IPC
-		dirIPC[i] = results[2*n+i].IPC
-		dirPhantoms += results[2*n+i].FE.PhantomBranches
 	}
 	tb := stats.NewTable("design", "geomean_speedup", "phantom_branches").
 		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitCount)
 	rep := &Report{ID: "ablation-sbdtobtb", Title: "Parallel SBB vs inserting shadow branches into the BTB", Table: tb}
-	var sbbPhantoms uint64
-	for i := 0; i < n; i++ {
-		sbbPhantoms += results[n+i].FE.PhantomBranches
-	}
-	tb.AddCells(cStr("parallel SBB (paper)"), cPct(stats.GeomeanSpeedup(sbbIPC, baseIPC)), cInt(sbbPhantoms))
-	tb.AddCells(cStr("direct to BTB"), cPct(stats.GeomeanSpeedup(dirIPC, baseIPC)), cInt(dirPhantoms))
-	return o.stamp(rep, r, benches), nil
+	tb.AddCells(cStr("parallel SBB (paper)"), cPct(s.gain(1)), cInt(s.sum(1, phantoms)))
+	tb.AddCells(cStr("direct to BTB"), cPct(s.gain(2)), cInt(s.sum(2, phantoms)))
+	return s.report(rep), nil
 }
 
 // AblationWrongPath disables wrong-path prefetching during execute
@@ -299,29 +193,16 @@ func AblationInsertIntoBTB(o Options) (*Report, error) {
 // instantaneous), quantifying how much of the loss FDIP's wrong-path
 // pollution causes.
 func AblationWrongPath(o Options) (*Report, error) {
-	r := o.runner()
-	benches := o.benchmarks()
-	noWP := cpu.DefaultConfig()
-	noWP.Frontend.ExecResteerPenalty = 1
-	var specs []sim.RunSpec
-	for _, b := range benches {
-		specs = append(specs, baselineSpec(b, o))
-	}
-	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(noWP),
-			Warmup: o.Warmup, Measure: o.Measure, Label: "no-wrong-path"})
-	}
-	results, err := r.RunAll(specs)
+	s, err := o.sweep(o.benchmarks(), baseline(),
+		vary("no-wrong-path", cpu.DefaultConfig(), func(c *cpu.Config) { c.Frontend.ExecResteerPenalty = 1 }))
 	if err != nil {
 		return nil, err
 	}
-	n := len(benches)
 	tb := stats.NewTable("benchmark", "wrongpath_blocks_frac", "pollution_evicted", "ipc", "ipc_instant_resolve").
 		SetUnits(stats.UnitNone, stats.UnitFrac, stats.UnitCount, stats.UnitIPC, stats.UnitIPC)
 	rep := &Report{ID: "ablation-wrongpath", Title: "Wrong-path fetch volume and cost", Table: tb}
-	for i, b := range benches {
-		base := results[i]
-		inst := results[n+i]
+	for i, b := range s.benches {
+		base, inst := s.res[0][i], s.res[1][i]
 		tot := base.FE.Blocks + base.FE.WrongPathBlocks
 		frac := 0.0
 		if tot > 0 {
@@ -330,7 +211,7 @@ func AblationWrongPath(o Options) (*Report, error) {
 		tb.AddCells(cStr(b), cPct(frac), cInt(base.L1I.PollutionEvicted),
 			cF3(base.IPC), cF3(inst.IPC))
 	}
-	return o.stamp(rep, r, benches), nil
+	return s.report(rep), nil
 }
 
 // ExtensionShadowConds evaluates the beyond-paper extension: letting
@@ -339,45 +220,17 @@ func AblationWrongPath(o Options) (*Report, error) {
 // because they need a direction prediction at use time). Compares
 // paper-Skia against extended Skia.
 func ExtensionShadowConds(o Options) (*Report, error) {
-	r := o.runner()
-	benches := o.benchmarks()
-	ext := cpu.SkiaConfig()
-	ext.Frontend.SBD.IncludeConditionals = true
-
-	var specs []sim.RunSpec
-	for _, b := range benches {
-		specs = append(specs, baselineSpec(b, o))
-	}
-	for _, b := range benches {
-		specs = append(specs, skiaSpec(b, o))
-	}
-	for _, b := range benches {
-		specs = append(specs, sim.RunSpec{Benchmark: b, Config: o.config(ext),
-			Warmup: o.Warmup, Measure: o.Measure, Label: "skia+conds"})
-	}
-	results, err := r.RunAll(specs)
+	s, err := o.sweep(o.benchmarks(), baseline(), skia(),
+		vary("skia+conds", cpu.SkiaConfig(), func(c *cpu.Config) { c.Frontend.SBD.IncludeConditionals = true }))
 	if err != nil {
 		return nil, err
-	}
-	n := len(benches)
-	baseIPC := make([]float64, n)
-	skiaIPC := make([]float64, n)
-	extIPC := make([]float64, n)
-	var skiaCov, extCov, extPhantom uint64
-	for i := 0; i < n; i++ {
-		baseIPC[i] = results[i].IPC
-		skiaIPC[i] = results[n+i].IPC
-		extIPC[i] = results[2*n+i].IPC
-		skiaCov += results[n+i].FE.SBBCoveredTotal()
-		extCov += results[2*n+i].FE.SBBCoveredTotal()
-		extPhantom += results[2*n+i].FE.PhantomBranches
 	}
 	tb := stats.NewTable("design", "geomean_speedup", "sbb_covered").
 		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitCount)
 	rep := &Report{ID: "ext-conds", Title: "Extension: shadow conditionals in the U-SBB", Table: tb}
-	tb.AddCells(cStr("skia (paper: U+R only)"), cPct(stats.GeomeanSpeedup(skiaIPC, baseIPC)), cInt(skiaCov))
-	tb.AddCells(cStr("skia + shadow conds"), cPct(stats.GeomeanSpeedup(extIPC, baseIPC)), cInt(extCov))
+	tb.AddCells(cStr("skia (paper: U+R only)"), cPct(s.gain(1)), cInt(s.sum(1, sbbCovered)))
+	tb.AddCells(cStr("skia + shadow conds"), cPct(s.gain(2)), cInt(s.sum(2, sbbCovered)))
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"extension phantoms: %d; conditionals compete for U-SBB capacity with the jumps and calls", extPhantom))
-	return o.stamp(rep, r, benches), nil
+		"extension phantoms: %d; conditionals compete for U-SBB capacity with the jumps and calls", s.sum(2, phantoms)))
+	return s.report(rep), nil
 }

@@ -102,19 +102,7 @@ func (f *FrontEnd) Clone() *FrontEnd {
 // instruction. It returns the number of instructions skipped, which is
 // short of n only when the workload halts.
 func (f *FrontEnd) FastForward(n uint64) uint64 {
-	// Squash all in-flight speculative state.
-	f.q.Reset()
-	f.hasCur = false
-	f.hasRedir = false
-	f.iagStallTill = 0
-	f.idleStreak = 0
-	f.clearSBD()
-
-	var skipped uint64
-	if f.hasPending && n > 0 {
-		f.consume()
-		skipped++
-	}
+	skipped := f.squash(n)
 	if n > skipped && !f.em.Halted() {
 		ran, err := f.em.Run(n - skipped)
 		skipped += ran
@@ -127,14 +115,26 @@ func (f *FrontEnd) FastForward(n uint64) uint64 {
 	if f.em.Halted() {
 		f.done = true
 	}
-
-	// Resync the IAG and predictors to the architectural point.
-	f.specPC = f.em.PC()
-	f.entryTgt = true
-	f.rs.LoadFrom(f.em.Stack())
-	f.tg.SyncSpec()
-	f.it.SyncSpec()
+	f.resync(f.em.PC())
 	return skipped
+}
+
+// squash drops all in-flight speculative state ahead of a fast-forward
+// of n instructions: FTQ, current block, pending re-steer, IAG stall
+// and queued shadow decodes. A pending step counts as the first
+// skipped instruction; squash returns how many it skipped (0 or 1).
+func (f *FrontEnd) squash(n uint64) uint64 {
+	f.q.Reset()
+	f.hasCur = false
+	f.hasRedir = false
+	f.iagStallTill = 0
+	f.idleStreak = 0
+	f.clearSBD()
+	if f.hasPending && n > 0 {
+		f.consume()
+		return 1
+	}
+	return 0
 }
 
 // FastForwardWarm is FastForward with functional warming (the SMARTS
@@ -151,19 +151,7 @@ func (f *FrontEnd) FastForward(n uint64) uint64 {
 // by a taken branch) are decoded inline, so the shadow-branch supply
 // is at temperature when measurement starts.
 func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
-	// Squash all in-flight speculative state (as FastForward does).
-	f.q.Reset()
-	f.hasCur = false
-	f.hasRedir = false
-	f.iagStallTill = 0
-	f.idleStreak = 0
-	f.clearSBD()
-
-	var skipped uint64
-	if f.hasPending && n > 0 {
-		f.consume()
-		skipped++
-	}
+	skipped := f.squash(n)
 	lastLine := ^uint64(0)
 	for skipped < n && !f.em.Halted() {
 		// Sequential instructions touch no predictor state in detail
@@ -270,12 +258,7 @@ func (f *FrontEnd) FastForwardWarm(n uint64) uint64 {
 	if f.em.Halted() {
 		f.done = true
 	}
-
-	f.specPC = f.em.PC()
-	f.entryTgt = true
-	f.rs.LoadFrom(f.em.Stack())
-	f.tg.SyncSpec()
-	f.it.SyncSpec()
+	f.resync(f.em.PC())
 	return skipped
 }
 
@@ -291,9 +274,8 @@ func (f *FrontEnd) warmFetch(la, lastLine uint64) uint64 {
 
 // warmShadowDecode runs one head or tail shadow decode during
 // functional warming, mirroring runSBDTasks: the line is brought (or
-// kept) resident, decoded, and the results inserted into the SBB (or
-// the BTB under the SBDToBTB ablation) with probe-candidate
-// registration. Timing-only concerns — the SBD latency and the
+// kept) resident, decoded, and the results inserted through the same
+// insertShadow the detail path uses. Timing-only concerns — the SBD latency and the
 // evicted-before-decode race — are not modeled. Decodes share the
 // detail path's memo, so the warm skip's decode cost is proportional
 // to the distinct regions touched, not to the dynamic taken-branch
@@ -307,17 +289,5 @@ func (f *FrontEnd) warmShadowDecode(lineAddr uint64, off int, head bool) {
 		return
 	}
 	f.shadowDecode(line, lineAddr, off, head)
-	for _, sb := range f.scratch {
-		if f.cfg.SBDToBTB {
-			f.btb.Insert(sb.PC, btb.Entry{
-				Target:      sb.Target,
-				FallThrough: sb.PC + uint64(sb.Len),
-				Class:       sb.Class,
-			})
-		} else {
-			f.insertSBB(sb)
-		}
-		f.stats.SBDInserts++
-		f.noteSBBInsert(sb)
-	}
+	f.insertShadow()
 }

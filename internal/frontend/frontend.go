@@ -409,13 +409,7 @@ func (f *FrontEnd) scheduleRedirect(pc uint64, kind redirectKind, cause attrib.S
 	case redirectDecode:
 		f.stats.DecodeResteers++
 		f.emit(metrics.EvDecodeResteer, pc, 0)
-		f.q.Reset()
-		f.hasCur = false
-		f.specPC = pc
-		f.entryTgt = true
-		f.rs.LoadFrom(f.em.Stack())
-		f.tg.SyncSpec()
-		f.it.SyncSpec()
+		f.resync(pc)
 		f.iagStallTill = f.cycle + uint64(f.cfg.DecodeResteerPenalty)
 		f.redir = redirect{pc: pc, applyAt: f.cycle + uint64(f.cfg.DecodeResteerPenalty), kind: kind, cause: cause}
 		f.hasRedir = true
@@ -432,15 +426,23 @@ func (f *FrontEnd) applyRedirect() {
 	r := f.redir
 	f.hasRedir = false
 	if r.kind == redirectExec {
-		f.q.Reset()
-		f.hasCur = false
-		f.specPC = r.pc
-		f.entryTgt = true
-		f.rs.LoadFrom(f.em.Stack())
-		f.tg.SyncSpec()
-		f.it.SyncSpec()
+		f.resync(r.pc)
 	}
 	// Decode re-steers already redirected the IAG at schedule time.
+}
+
+// resync points the IAG at pc as a re-steer does: the FTQ and current
+// block are squashed, the RAS is reloaded from the architectural
+// stack, and the TAGE/ITTAGE speculative histories are repaired from
+// their committed state.
+func (f *FrontEnd) resync(pc uint64) {
+	f.q.Reset()
+	f.hasCur = false
+	f.specPC = pc
+	f.entryTgt = true
+	f.rs.LoadFrom(f.em.Stack())
+	f.tg.SyncSpec()
+	f.it.SyncSpec()
 }
 
 // candidates returns the branch-site byte offsets to probe in a line as
@@ -713,32 +715,41 @@ func (f *FrontEnd) runSBDTasks() {
 			continue
 		}
 		f.shadowDecode(line, t.lineAddr, t.off, t.head)
-		for _, sb := range f.scratch {
-			if f.cfg.SBDToBTB {
-				// Ablation: shadow branches go straight into the BTB.
-				f.btb.Insert(sb.PC, btb.Entry{
-					Target:      sb.Target,
-					FallThrough: sb.PC + uint64(sb.Len),
-					Class:       sb.Class,
-				})
-			} else {
-				f.insertSBB(sb)
-				if f.at != nil {
-					f.at.NoteSBBInsert(sb.PC)
-				}
-			}
-			f.stats.SBDInserts++
-			if f.tr != nil {
-				kind := metrics.EvSBDInsertU
-				if sb.Class == isa.ClassReturn {
-					kind = metrics.EvSBDInsertR
-				}
-				f.emit(kind, sb.PC, sb.Target)
-			}
-			f.noteSBBInsert(sb)
-		}
+		f.insertShadow()
 	}
 	f.sbdTasks = kept
+}
+
+// insertShadow inserts the shadow branches of the last shadowDecode
+// into the SBB (or, under the SBDToBTB ablation, straight into the
+// BTB), noting each with the observers and registering its PC as a
+// probe candidate.
+//
+//skia:noalloc
+func (f *FrontEnd) insertShadow() {
+	for _, sb := range f.scratch {
+		if f.cfg.SBDToBTB {
+			f.btb.Insert(sb.PC, btb.Entry{
+				Target:      sb.Target,
+				FallThrough: sb.PC + uint64(sb.Len),
+				Class:       sb.Class,
+			})
+		} else {
+			f.insertSBB(sb)
+			if f.at != nil {
+				f.at.NoteSBBInsert(sb.PC)
+			}
+		}
+		f.stats.SBDInserts++
+		if f.tr != nil {
+			kind := metrics.EvSBDInsertU
+			if sb.Class == isa.ClassReturn {
+				kind = metrics.EvSBDInsertR
+			}
+			f.emit(kind, sb.PC, sb.Target)
+		}
+		f.noteSBBInsert(sb)
+	}
 }
 
 // shadowDecode decodes one head or tail shadow region of the line at
