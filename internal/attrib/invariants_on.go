@@ -8,7 +8,7 @@ import "fmt"
 const invariantsEnabled = true
 
 // attribCheckInvariants panics if the engine's double-entry accounting
-// drifted: ClassifyMiss books every miss once in the cause taxonomy
+// drifted: classify books every miss once in the cause taxonomy
 // and once in the per-PC offender table, so the two ledgers must agree
 // exactly, per offender and in total.
 //

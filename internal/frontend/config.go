@@ -12,6 +12,12 @@
 // The model is execution-driven in the way the paper requires: between
 // a misprediction and its resolution the IAG keeps following its wrong
 // path, and the prefetches it issues pollute the L1-I.
+//
+// Observers see the front end through one stream of metrics.Event
+// values: every observation site (re-steers, BTB misses, SBB hits,
+// inserts and evictions, shadow regions, stall cycles, FTQ samples)
+// makes a single emit, which fans out to the attached ring tracer and
+// attribution engine and costs one comparison when neither is attached.
 package frontend
 
 import (

@@ -4,7 +4,30 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"unsafe"
 )
+
+// TestEventSize pins Event at 32 bytes: Class and Flags must stay in
+// the padding after Kind, so carrying the attribution fields costs the
+// stream no extra copying.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 32 {
+		t.Fatalf("Event is %d bytes, want 32", n)
+	}
+}
+
+// TestRingTracerDropsAttributionKinds checks that the tracer records
+// only the traced kinds: attribution-only events neither enter the
+// ring nor count toward Total.
+func TestRingTracerDropsAttributionKinds(t *testing.T) {
+	tr := NewRingTracer(4)
+	for k := EventKind(0); k < numEventKinds; k++ {
+		tr.Emit(Event{Kind: k})
+	}
+	if got, want := tr.Total(), uint64(EvShadowHead); got != want {
+		t.Fatalf("tracer kept %d events, want the %d traced kinds", got, want)
+	}
+}
 
 func TestRingTracerBasics(t *testing.T) {
 	tr := NewRingTracer(4)
@@ -66,7 +89,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	events := []Event{
 		{Cycle: 10, Kind: EvDecodeResteer, PC: 0x400100},
 		{Cycle: 20, Kind: EvSBBHitU, PC: 0x400200, Arg: 0x400300},
-		{Cycle: 30, Kind: EvSBBEvictR, Arg: 1},
+		{Cycle: 30, Kind: EvSBBEvictR, Arg: 250, Flags: FlagRetired},
 		{Cycle: 40, Kind: EvPhantom, PC: 0x400400, Arg: 0x400410},
 	}
 	var buf bytes.Buffer

@@ -538,7 +538,7 @@ func TestObserversDoNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestAttributionDisabledByDefault guards the nil-checked fast path:
+// TestAttributionDisabledByDefault guards the unobserved fast path:
 // no engine, no summary.
 func TestAttributionDisabledByDefault(t *testing.T) {
 	r := NewRunner()
