@@ -49,16 +49,12 @@ func (c SBBConfig) StorageBits() int {
 	return c.UEntries*uBits + c.REntries*rBits
 }
 
-// UEntry is a U-SBB payload: a direct unconditional jump, a call, or —
-// with the IncludeConditionals extension — a direct conditional.
+// UEntry is a U-SBB payload: a direct unconditional jump or a call.
 type UEntry struct {
 	// Target is the decoded branch target.
 	Target uint64
 	// IsCall distinguishes calls (which push the RAS) from jumps.
 	IsCall bool
-	// IsCond marks extension-mode conditionals, which need a direction
-	// prediction before the target is followed.
-	IsCond bool
 	// Len is the branch instruction length, for fall-through (return
 	// address) computation.
 	Len uint8
@@ -320,7 +316,7 @@ func (s *SBB) Insert(sb ShadowBranch, btbResident bool) (d Departure, displaced 
 		return Departure{}, false
 	}
 	switch sb.Class {
-	case isa.ClassDirectUncond, isa.ClassCall, isa.ClassDirectCond:
+	case isa.ClassDirectUncond, isa.ClassCall:
 		d, displaced = s.insertU(sb)
 	case isa.ClassReturn:
 		d, displaced = s.insertR(sb.PC)
@@ -341,7 +337,6 @@ func (s *SBB) insertU(sb ShadowBranch) (Departure, bool) {
 	e := UEntry{
 		Target: sb.Target,
 		IsCall: sb.Class == isa.ClassCall,
-		IsCond: sb.Class == isa.ClassDirectCond,
 		Len:    sb.Len,
 	}
 	for w := range s.uSets[set] {

@@ -96,17 +96,21 @@ func TestJumpsGoToUSBB(t *testing.T) {
 }
 
 func TestIndirectBranchesNotInsertable(t *testing.T) {
-	// Indirect branches have no statically decodable target; the SBB
-	// must reject them. (Direct conditionals are accepted — the SBD
-	// gates them with its IncludeConditionals extension flag.)
+	// Indirect branches have no statically decodable target, and a
+	// direct conditional would need a direction at use time: the SBB
+	// must reject them all, as the paper's eligibility rule does.
 	s := tinySBB()
 	s.Insert(ShadowBranch{PC: 0x504, Class: isa.ClassIndirect}, false)
 	s.Insert(ShadowBranch{PC: 0x508, Class: isa.ClassIndirectCall}, false)
+	s.Insert(ShadowBranch{PC: 0x50c, Class: isa.ClassDirectCond, Target: 0x99, Len: 2}, false)
 	if _, ok := s.LookupU(0x504); ok {
 		t.Error("indirect inserted")
 	}
 	if _, ok := s.LookupU(0x508); ok {
 		t.Error("indirect call inserted")
+	}
+	if _, ok := s.LookupU(0x50c); ok {
+		t.Error("conditional inserted")
 	}
 	if s.Stats().UInserts != 0 {
 		t.Error("insert counted for unsupported class")

@@ -77,12 +77,6 @@ type SBDConfig struct {
 	// and its shadow branches becoming visible in the SBB; the decode
 	// is off the critical path (Section 3.2, footnote 2).
 	Latency int
-	// IncludeConditionals is an extension beyond the paper: shadow
-	// direct conditionals also enter the U-SBB (their targets are
-	// PC-relative, so they too need no runtime state; the paper leaves
-	// them out because a conditional additionally needs a direction
-	// prediction at use time). Off by default.
-	IncludeConditionals bool
 }
 
 // DefaultSBDConfig returns the paper's configuration: both decoders on,
@@ -372,8 +366,7 @@ func (d *SBD) extract(line []byte, lineAddr uint64, off int, dst []ShadowBranch)
 	if !ok {
 		return dst
 	}
-	if !in.Class.IsShadowEligible() &&
-		!(d.cfg.IncludeConditionals && in.Class == isa.ClassDirectCond) {
+	if !in.Class.IsShadowEligible() {
 		return dst
 	}
 	sb := ShadowBranch{PC: in.PC, Class: in.Class, Len: in.Len}

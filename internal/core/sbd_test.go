@@ -438,37 +438,3 @@ func TestCorroborationSuppressesBogusPrefix(t *testing.T) {
 		t.Fatalf("raw decode got %+v, want bogus ret + call", raw)
 	}
 }
-
-func TestIncludeConditionalsExtension(t *testing.T) {
-	line := lineWith(func(a *isa.Asm) {
-		a.Nop(2)
-		a.JmpRel32(64) // the exit at offsets 2..6
-		a.JccRel8(4, 10)
-		a.Ret()
-	})
-	// Paper mode: the conditional is skipped.
-	got := newTestSBD().DecodeTail(line, 0, 7, nil)
-	if len(got) != 1 || got[0].Class != isa.ClassReturn {
-		t.Fatalf("paper mode got %+v", got)
-	}
-	// Extension mode: the conditional is extracted too, with its
-	// PC-relative target resolved.
-	cfg := DefaultSBDConfig()
-	cfg.IncludeConditionals = true
-	got = NewSBD(cfg).DecodeTail(line, 0, 7, nil)
-	if len(got) != 2 || got[0].Class != isa.ClassDirectCond {
-		t.Fatalf("extension mode got %+v", got)
-	}
-	if want := uint64(7 + 2 + 10); got[0].Target != want {
-		t.Errorf("cond target %#x, want %#x", got[0].Target, want)
-	}
-}
-
-func TestSBBRoutesCondToU(t *testing.T) {
-	s := tinySBB()
-	s.Insert(ShadowBranch{PC: 0x30, Class: isa.ClassDirectCond, Target: 0x99, Len: 2}, false)
-	e, ok := s.LookupU(0x30)
-	if !ok || !e.IsCond || e.IsCall {
-		t.Errorf("cond entry = %+v, %v", e, ok)
-	}
-}

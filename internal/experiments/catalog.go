@@ -33,7 +33,6 @@ func Catalog() map[string]Harness {
 		"ablation-replacement": AblationReplacement,
 		"ablation-sbdtobtb":    AblationInsertIntoBTB,
 		"ablation-wrongpath":   AblationWrongPath,
-		"ext-conds":            ExtensionShadowConds,
 	}
 }
 
@@ -44,7 +43,6 @@ var Order = []string{
 	"bolt",
 	"ablation-index", "ablation-pathcap", "ablation-replacement",
 	"ablation-sbdtobtb", "ablation-wrongpath",
-	"ext-conds",
 }
 
 // IDs returns the catalog keys sorted alphabetically.

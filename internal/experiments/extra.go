@@ -213,24 +213,3 @@ func AblationWrongPath(o Options) (*Report, error) {
 	}
 	return s.report(rep), nil
 }
-
-// ExtensionShadowConds evaluates the beyond-paper extension: letting
-// the U-SBB also hold shadow direct conditionals (their targets are
-// PC-relative, so the SBD can decode them; the paper leaves them out
-// because they need a direction prediction at use time). Compares
-// paper-Skia against extended Skia.
-func ExtensionShadowConds(o Options) (*Report, error) {
-	s, err := o.sweep(o.benchmarks(), baseline(), skia(),
-		vary("skia+conds", cpu.SkiaConfig(), func(c *cpu.Config) { c.Frontend.SBD.IncludeConditionals = true }))
-	if err != nil {
-		return nil, err
-	}
-	tb := stats.NewTable("design", "geomean_speedup", "sbb_covered").
-		SetUnits(stats.UnitNone, stats.UnitSpeedup, stats.UnitCount)
-	rep := &Report{ID: "ext-conds", Title: "Extension: shadow conditionals in the U-SBB", Table: tb}
-	tb.AddCells(cStr("skia (paper: U+R only)"), cPct(s.gain(1)), cInt(s.sum(1, sbbCovered)))
-	tb.AddCells(cStr("skia + shadow conds"), cPct(s.gain(2)), cInt(s.sum(2, sbbCovered)))
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"extension phantoms: %d; conditionals compete for U-SBB capacity with the jumps and calls", s.sum(2, phantoms)))
-	return s.report(rep), nil
-}

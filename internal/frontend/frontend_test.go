@@ -374,27 +374,6 @@ func BenchmarkFrontEndStep(b *testing.B) {
 	}
 }
 
-func TestShadowCondExtension(t *testing.T) {
-	// The IncludeConditionals extension must run correctly: shadow
-	// conditionals enter the U-SBB, get direction-predicted at the IAG,
-	// and never corrupt the decoded stream.
-	w := testWorkload(t, nil)
-	cfg := smallCfg(true)
-	cfg.SBD.IncludeConditionals = true
-	f, err := New(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, f, 300_000)
-	s := f.Stats()
-	if s.ForcedResyncs != 0 {
-		t.Fatalf("forced resyncs with the extension: %d", s.ForcedResyncs)
-	}
-	if s.SBDInserts == 0 || s.SBBCoveredTotal() == 0 {
-		t.Error("extension run shows no SBB activity")
-	}
-}
-
 // TestSBBLifetimeCountsFromInsert warms a Skia front end with no
 // observer attached, then attaches an attribution engine and keeps
 // running: every evicted entry's lifetime must fit in the cycles since
