@@ -66,8 +66,9 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 		sizes = Fig3Sizes
 	}
 	sbbBits := core.DefaultSBBConfig().StorageBits()
-	// Four designs per size, so variant 4i+d is design d at sizes[i]
+	// Three designs per size, so variant 3i+d is design d at sizes[i]
 	// and variant 0 (plain BTB at the smallest size) is the baseline.
+	// The infinite BTB has no size; it runs once, as the last variant.
 	var vs []variant
 	for _, size := range sizes {
 		label := func(design string) string { return fmt.Sprintf("%s/%d", design, size) }
@@ -76,9 +77,10 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 			vary(label("btb"), cpu.DefaultConfig(), func(c *cpu.Config) { c.Frontend.BTB = entries }),
 			vary(label("btb+state"), cpu.DefaultConfig(),
 				func(c *cpu.Config) { c.Frontend.BTB = sim.AugmentedBTB(entries, sbbBits) }),
-			vary(label("btb+sbb"), cpu.SkiaConfig(), func(c *cpu.Config) { c.Frontend.BTB = entries }),
-			vary(label("infinite"), cpu.DefaultConfig(), func(c *cpu.Config) { c.Frontend.BTB.Infinite = true }))
+			vary(label("btb+sbb"), cpu.SkiaConfig(), func(c *cpu.Config) { c.Frontend.BTB = entries }))
 	}
+	inf := len(vs)
+	vs = append(vs, vary("infinite", cpu.DefaultConfig(), func(c *cpu.Config) { c.Frontend.BTB.Infinite = true }))
 	s, err := o.sweep(o.benchmarks(), vs...)
 	if err != nil {
 		return nil, err
@@ -88,12 +90,12 @@ func Fig3(o Options, sizes []int) (*Report, error) {
 	rep := &Report{ID: "fig3", Title: "Geomean speedup vs 4K-entry BTB across designs", Table: tb}
 	for i, size := range sizes {
 		tb.AddCells(cStr(fmt.Sprintf("%d", size)),
-			cPct(s.gain(4*i)), cPct(s.gain(4*i+1)), cPct(s.gain(4*i+2)), cPct(s.gain(3)))
+			cPct(s.gain(3*i)), cPct(s.gain(3*i+1)), cPct(s.gain(3*i+2)), cPct(s.gain(inf)))
 	}
 	// Shape check at 8K: sbb > state > plain.
 	var s8, st8, p8 float64
 	if i := slices.Index(sizes, 8192); i >= 0 {
-		s8, st8, p8 = s.gain(4*i+2), s.gain(4*i+1), s.gain(4*i)
+		s8, st8, p8 = s.gain(3*i+2), s.gain(3*i+1), s.gain(3*i)
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"shape at 8K: skia %s vs btb+state %s vs btb %s (paper: skia beats equal-state BTB until saturation)",
