@@ -33,6 +33,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compare"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -279,9 +280,8 @@ func benchExperiment(f func(experiments.Options) (*experiments.Report, error)) (
 // combined checkpoint+sampling+sharding speedup over the exact pass
 // and the sharding parallel efficiency, and hard-fails unless (a)
 // every sampled metric's confidence interval contains the exact value
-// (the skiacmp -sample-ci tolerance: CI + 0.01 + 0.05*|exact|) and
-// (b) the sharded pass's sampling summaries are DeepEqual to the
-// serial pass's.
+// (skiacmp -sample-ci) and (b) the sharded pass's sampling summaries
+// are DeepEqual to the serial pass's.
 func benchFig14Sharded() (Entry, error) {
 	const shards = 4
 	cache := sim.NewCheckpointCache()
@@ -326,34 +326,13 @@ func benchFig14Sharded() (Entry, error) {
 
 	// Gate 1: sharding must not change results at all.
 	if !reflect.DeepEqual(serial.Sampling, sharded.Sampling) {
-		return Entry{}, fmt.Errorf("fig14-sharded: sharded sampling summaries differ from serial (shard-count invariance broken)")
+		return Entry{}, fmt.Errorf("sharded sampling summaries differ from serial (shard-count invariance broken)")
 	}
 
 	// Gate 2: every sampled metric's CI must contain the exact value.
-	type key struct{ bench, label, metric string }
-	exactVals := make(map[key]float64)
-	for _, ss := range exact.Sampling {
-		for _, m := range ss.Summary.Metrics {
-			exactVals[key{ss.Benchmark, ss.Label, m.Name}] = m.Mean
-		}
-	}
-	var ciFails []string
-	for _, ss := range sharded.Sampling {
-		for _, m := range ss.Summary.Metrics {
-			want, ok := exactVals[key{ss.Benchmark, ss.Label, m.Name}]
-			if !ok {
-				ciFails = append(ciFails, fmt.Sprintf("%s/%s %s: no exact echo row", ss.Benchmark, ss.Label, m.Name))
-				continue
-			}
-			if tol := m.CI + 0.01 + 0.05*math.Abs(want); math.Abs(m.Mean-want) > tol {
-				ciFails = append(ciFails, fmt.Sprintf("%s/%s %s: sampled %.4f vs exact %.4f exceeds CI tolerance %.4f",
-					ss.Benchmark, ss.Label, m.Name, m.Mean, want, tol))
-			}
-		}
-	}
-	if len(ciFails) > 0 {
-		return Entry{}, fmt.Errorf("fig14-sharded: %d sampled metrics outside exact CI:\n  %s",
-			len(ciFails), strings.Join(ciFails, "\n  "))
+	if res := compare.Diff(map[string]*experiments.Report{"fig14": exact},
+		map[string]*experiments.Report{"fig14": sharded}, compare.Options{SampleCI: true}); res.Failed() {
+		return Entry{}, fmt.Errorf("sampled metrics outside exact CI:\n%s", res)
 	}
 
 	e := Entry{

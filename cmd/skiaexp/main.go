@@ -84,8 +84,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			"classify BTB misses and stall cycles by cause on every run; summaries land in the report envelope's `attribution` section")
 
 		samplePlan = sim.SampleFlags(fs)
-		checkpoint = fs.Bool("checkpoint", false,
-			"share detail warmup between runs with the same (benchmark, warmup, config) via core checkpoints; bit-identical results, less wall-clock")
 		sampleEcho = fs.Bool("sample-echo", false,
 			"make exact runs publish a CI-free `sampling` section too, for skiacmp -sample-ci gating")
 	)
@@ -113,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	opts := experiments.Options{Warmup: *warmup, Measure: *measure, Workers: *workers, Interval: *intervals, Attrib: *attribOn,
-		Sample: samplePlan(), Checkpoint: *checkpoint, SampleEcho: *sampleEcho}
+		Sample: samplePlan(), SampleEcho: *sampleEcho}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}

@@ -16,7 +16,9 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/attrib"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -187,10 +189,54 @@ func LoadPath(path string) (map[string]*experiments.Report, error) {
 	return out, nil
 }
 
+// pair matches base and head entries by key. In base order it calls
+// both with the indices of every key the two sides share and missing
+// with every base key head lacks; it returns the keys only head has, in
+// head order. A key repeated within one side pairs by occurrence: its
+// second and later copies get the suffix #1, #2, ...
+func pair[T any](base, head []T, key func(T) string, both func(k string, i, j int), missing func(k string)) []string {
+	hk := keys(head, key)
+	at := make(map[string]int, len(head))
+	for j, k := range hk {
+		at[k] = j
+	}
+	seen := make(map[string]bool, len(base))
+	for i, k := range keys(base, key) {
+		seen[k] = true
+		if j, ok := at[k]; ok {
+			both(k, i, j)
+		} else {
+			missing(k)
+		}
+	}
+	var extra []string
+	for _, k := range hk {
+		if !seen[k] {
+			extra = append(extra, k)
+		}
+	}
+	return extra
+}
+
+// keys returns each entry's key, duplicates suffixed by occurrence.
+func keys[T any](xs []T, key func(T) string) []string {
+	counts := make(map[string]int, len(xs))
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		k := key(x)
+		out[i] = k
+		if n := counts[k]; n > 0 {
+			out[i] = fmt.Sprintf("%s#%d", k, n)
+		}
+		counts[k]++
+	}
+	return out
+}
+
 // rowKey identifies a row by its label (string-kind) cells so rows
 // still pair up when row order shifts. Tables whose rows carry no
 // string cells fall back to positional pairing via the duplicate-key
-// occurrence index in pairRows.
+// occurrence suffix.
 func rowKey(row []stats.Cell) string {
 	var parts []string
 	for _, c := range row {
@@ -201,21 +247,23 @@ func rowKey(row []stats.Cell) string {
 	return strings.Join(parts, "/")
 }
 
-// pairRows indexes rows by key, disambiguating duplicates by
-// occurrence order.
-func pairRows(t *stats.Table) map[string][]stats.Cell {
-	counts := make(map[string]int)
-	out := make(map[string][]stats.Cell)
-	for i := 0; i < t.NumRows(); i++ {
-		row := t.Row(i)
-		k := rowKey(row)
-		if n := counts[k]; n > 0 {
-			k = fmt.Sprintf("%s#%d", k, n)
-		}
-		counts[rowKey(row)]++
-		out[k] = append([]stats.Cell(nil), row...)
+// rows returns a table's data rows.
+func rows(t *stats.Table) [][]stats.Cell {
+	out := make([][]stats.Cell, t.NumRows())
+	for i := range out {
+		out[i] = t.Row(i)
 	}
 	return out
+}
+
+// mismatch records a failing structural difference.
+func (r *Result) mismatch(format string, a ...any) {
+	r.Mismatches = append(r.Mismatches, fmt.Sprintf(format, a...))
+}
+
+// note records a non-failing difference.
+func (r *Result) note(format string, a ...any) {
+	r.Warnings = append(r.Warnings, fmt.Sprintf(format, a...))
 }
 
 // Diff compares two report sets. base is the reference; regressions
@@ -223,35 +271,27 @@ func pairRows(t *stats.Table) map[string][]stats.Cell {
 func Diff(base, head map[string]*experiments.Report, opt Options) *Result {
 	opt = opt.withDefaults()
 	res := &Result{}
-	var ids []string
-	for id := range base {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		b, ok := head[id]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("experiment %q missing from new results", id))
-			continue
-		}
-		diffReport(res, base[id], b, opt)
-	}
-	var extra []string
-	for id := range head {
-		if _, ok := base[id]; !ok {
-			extra = append(extra, id)
-		}
-	}
-	sort.Strings(extra)
+	extra := pair(ids(base), ids(head), func(id string) string { return id },
+		func(id string, _, _ int) { diffReport(res, base[id], head[id], opt) },
+		func(id string) { res.mismatch("experiment %q missing from new results", id) })
 	for _, id := range extra {
-		res.Warnings = append(res.Warnings,
-			fmt.Sprintf("experiment %q only in new results", id))
+		res.note("experiment %q only in new results", id)
 	}
 	return res
 }
 
-// diffReport compares one experiment's tables cell by cell.
+// ids returns a report set's experiment IDs, sorted.
+func ids(reps map[string]*experiments.Report) []string {
+	var out []string
+	for id := range reps {
+		out = append(out, id)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// diffReport compares one experiment's tables cell by cell, then its
+// per-spec sections.
 func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 	if opt.SampleCI {
 		diffSampleCI(res, base, head, opt)
@@ -259,56 +299,20 @@ func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 	}
 	id := base.ID
 	oldCols := base.Table.Columns()
-	newCols := head.Table.Columns()
-	newColIdx := make(map[string]int, len(newCols))
-	for i, c := range newCols {
-		newColIdx[c.Name] = i
-	}
-	for _, c := range newCols {
-		found := false
-		for _, oc := range oldCols {
-			if oc.Name == c.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: column %q only in new results", id, c.Name))
-		}
+	var cols [][2]int // base and head index of every shared column
+	extra := pair(oldCols, head.Table.Columns(), func(c stats.Column) string { return c.Name },
+		func(_ string, i, j int) { cols = append(cols, [2]int{i, j}) },
+		func(name string) { res.mismatch("%s: column %q missing from new results", id, name) })
+	for _, name := range extra {
+		res.note("%s: column %q only in new results", id, name)
 	}
 
-	newRows := pairRows(head.Table)
-	oldRowSeen := make(map[string]bool)
-	counts := make(map[string]int)
-	for i := 0; i < base.Table.NumRows(); i++ {
-		row := base.Table.Row(i)
-		key := rowKey(row)
-		if n := counts[key]; n > 0 {
-			key = fmt.Sprintf("%s#%d", key, n)
-		}
-		counts[rowKey(row)]++
-		oldRowSeen[key] = true
-		newRow, ok := newRows[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: row [%s] missing from new results", id, key))
-			continue
-		}
-		for ci, col := range oldCols {
-			nj, ok := newColIdx[col.Name]
-			if !ok {
-				if i == 0 {
-					res.Mismatches = append(res.Mismatches,
-						fmt.Sprintf("%s: column %q missing from new results", id, col.Name))
-				}
-				continue
-			}
-			a, b := row[ci], newRow[nj]
+	oldRows, newRows := rows(base.Table), rows(head.Table)
+	extra = pair(oldRows, newRows, rowKey, func(key string, i, j int) {
+		for _, c := range cols {
+			col, a, b := oldCols[c[0]], oldRows[i][c[0]], newRows[j][c[1]]
 			if a.Kind != b.Kind {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] %s: cell kind changed %s -> %s",
-						id, key, col.Name, a.Kind, b.Kind))
+				res.mismatch("%s: [%s] %s: cell kind changed %s -> %s", id, key, col.Name, a.Kind, b.Kind)
 				continue
 			}
 			if a.Kind != stats.CellNum {
@@ -317,17 +321,10 @@ func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 			res.Compared++
 			checkCell(res, id, key, col, a.Value, b.Value, opt)
 		}
-	}
-	var newOnly []string
-	for key := range newRows {
-		if !oldRowSeen[key] {
-			newOnly = append(newOnly, key)
-		}
-	}
-	sort.Strings(newOnly)
-	for _, key := range newOnly {
-		res.Warnings = append(res.Warnings,
-			fmt.Sprintf("%s: row [%s] only in new results", id, key))
+	}, func(key string) { res.mismatch("%s: row [%s] missing from new results", id, key) })
+	sort.Strings(extra)
+	for _, key := range extra {
+		res.note("%s: row [%s] only in new results", id, key)
 	}
 	diffIntervals(res, base, head, opt)
 	diffAttribution(res, base, head, opt)
@@ -336,55 +333,44 @@ func diffReport(res *Result, base, head *experiments.Report, opt Options) {
 
 // specKey identifies one spec's envelope section entry the way table
 // rows are keyed: benchmark plus config label.
-func specKey(bench, label string) string {
-	if label == "" {
-		return bench
+func specKey[T any](s experiments.Spec[T]) string {
+	if s.Label == "" {
+		return s.Benchmark
 	}
-	return bench + "/" + label
+	return s.Benchmark + "/" + s.Label
+}
+
+// diffSection pairs one per-spec envelope section by spec and calls
+// check on every spec both sides carry. Specs present in the base but
+// gone from the new set fail; additions (say, the new run turned the
+// section on) only warn. A section absent from both sides compares
+// nothing, so older envelopes diff as before.
+func diffSection[T any](res *Result, id, name string, base, head []experiments.Spec[T], check func(key string, b, h *T)) {
+	extra := pair(base, head, specKey[T],
+		func(key string, i, j int) { check(key, &base[i].Summary, &head[j].Summary) },
+		func(key string) { res.mismatch("%s: %s for [%s] missing from new results", id, name, key) })
+	for _, key := range extra {
+		res.note("%s: %s for [%s] only in new results", id, name, key)
+	}
 }
 
 // diffIntervals compares the per-spec interval summaries carried in
 // the envelopes' optional `intervals` section (schema v2+): the
 // cycle-weighted IPC mean and the window-wide SBB coverage, each under
-// the (usually looser) IVRTol relative tolerance. Specs present in the
-// base but gone from the new set fail; additions — e.g. the new run
-// turned collection on — only warn. Reports without the section on
-// either side are skipped entirely, so v1 envelopes diff unchanged.
+// the (usually looser) IVRTol relative tolerance.
 func diffIntervals(res *Result, base, head *experiments.Report, opt Options) {
-	if len(base.Intervals) == 0 && len(head.Intervals) == 0 {
-		return
-	}
 	id := base.ID
-	newByKey := make(map[string]sim.SpecIntervals, len(head.Intervals))
-	for _, iv := range head.Intervals {
-		newByKey[specKey(iv.Benchmark, iv.Label)] = iv
-	}
-	seen := make(map[string]bool, len(base.Intervals))
-	for _, b := range base.Intervals {
-		key := specKey(b.Benchmark, b.Label)
-		seen[key] = true
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: intervals for [%s] missing from new results", id, key))
-			continue
-		}
-		ivOpt := opt
-		ivOpt.RTol = opt.IVRTol
+	ivOpt := opt
+	ivOpt.RTol = opt.IVRTol
+	diffSection(res, id, "intervals", base.Intervals, head.Intervals, func(key string, b, h *metrics.Summary) {
 		res.Compared += 2
 		checkCell(res, id, key,
 			stats.Column{Name: "intervals.ipc_mean", Unit: stats.UnitIPC},
-			b.Summary.IPCMean, h.Summary.IPCMean, ivOpt)
+			b.IPCMean, h.IPCMean, ivOpt)
 		checkCell(res, id, key,
 			stats.Column{Name: "intervals.sbb_coverage"},
-			b.Summary.SBBCoverage, h.Summary.SBBCoverage, ivOpt)
-	}
-	for _, iv := range head.Intervals {
-		if key := specKey(iv.Benchmark, iv.Label); !seen[key] {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: intervals for [%s] only in new results", id, key))
-		}
-	}
+			b.SBBCoverage, h.SBBCoverage, ivOpt)
+	})
 }
 
 // diffAttribution compares the per-spec miss-attribution summaries in
@@ -392,110 +378,46 @@ func diffIntervals(res *Result, base, head *experiments.Report, opt Options) {
 // cause share, stall share, and the headline shadow-residency share is
 // checked under the absolute AttribTol bound: attribution reports a
 // mix, so the question is "did any slice of the pie move more than N
-// points", independent of how rare the slice is. Missing specs fail;
-// additions warn; absent sections skip (older envelopes diff as
-// before).
+// points", independent of how rare the slice is. A cause or stall kind
+// gone from the new summary fails.
 func diffAttribution(res *Result, base, head *experiments.Report, opt Options) {
-	if len(base.Attribution) == 0 && len(head.Attribution) == 0 {
-		return
-	}
 	id := base.ID
-	newByKey := make(map[string]sim.SpecAttribution, len(head.Attribution))
-	for _, at := range head.Attribution {
-		newByKey[specKey(at.Benchmark, at.Label)] = at
-	}
-	seen := make(map[string]bool, len(base.Attribution))
-	for _, b := range base.Attribution {
-		key := specKey(b.Benchmark, b.Label)
-		seen[key] = true
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: attribution for [%s] missing from new results", id, key))
-			continue
-		}
+	diffSection(res, id, "attribution", base.Attribution, head.Attribution, func(key string, b, h *attrib.Summary) {
 		checkShare(res, id, key, "attrib.shadow_resident_share",
-			b.Summary.ShadowResidentShare, h.Summary.ShadowResidentShare, opt)
-		newCause := make(map[string]float64, len(h.Summary.Causes))
-		for _, c := range h.Summary.Causes {
-			newCause[c.Cause] = c.Share
-		}
-		for _, c := range b.Summary.Causes {
-			nv, ok := newCause[c.Cause]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] attribution cause %q missing from new results", id, key, c.Cause))
-				continue
-			}
-			checkShare(res, id, key, "attrib.cause."+c.Cause, c.Share, nv, opt)
-		}
-		newStall := make(map[string]float64, len(h.Summary.Stalls))
-		for _, s := range h.Summary.Stalls {
-			newStall[s.Kind] = s.Share
-		}
-		for _, s := range b.Summary.Stalls {
-			nv, ok := newStall[s.Kind]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] attribution stall %q missing from new results", id, key, s.Kind))
-				continue
-			}
-			checkShare(res, id, key, "attrib.stall."+s.Kind, s.Share, nv, opt)
-		}
-	}
-	for _, at := range head.Attribution {
-		if key := specKey(at.Benchmark, at.Label); !seen[key] {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: attribution for [%s] only in new results", id, key))
-		}
-	}
+			b.ShadowResidentShare, h.ShadowResidentShare, opt)
+		pair(b.Causes, h.Causes, func(c attrib.CauseCount) string { return c.Cause },
+			func(c string, i, j int) {
+				checkShare(res, id, key, "attrib.cause."+c, b.Causes[i].Share, h.Causes[j].Share, opt)
+			},
+			func(c string) { res.mismatch("%s: [%s] attribution cause %q missing from new results", id, key, c) })
+		pair(b.Stalls, h.Stalls, func(s attrib.StallCount) string { return s.Kind },
+			func(s string, i, j int) {
+				checkShare(res, id, key, "attrib.stall."+s, b.Stalls[i].Share, h.Stalls[j].Share, opt)
+			},
+			func(s string) { res.mismatch("%s: [%s] attribution stall %q missing from new results", id, key, s) })
+	})
 }
+
+// metricName keys a sampled metric.
+func metricName(m sim.MetricCI) string { return m.Name }
 
 // diffSampling compares the per-spec sampled-simulation summaries in
 // the envelopes' optional `sampling` section (schema v5+) as a
 // regression gate: each metric's point estimate is checked under the
 // ordinary RTol/ATol rule, like a table cell. Confidence widths are
 // not diffed — they are a property of the interval spread, not a
-// result. Missing specs or metrics fail; additions warn; absent
-// sections skip (older envelopes diff as before).
+// result. A metric gone from the new summary fails.
 func diffSampling(res *Result, base, head *experiments.Report, opt Options) {
-	if len(base.Sampling) == 0 && len(head.Sampling) == 0 {
-		return
-	}
 	id := base.ID
-	newByKey := make(map[string]sim.SpecSampling, len(head.Sampling))
-	for _, s := range head.Sampling {
-		newByKey[specKey(s.Benchmark, s.Label)] = s
-	}
-	seen := make(map[string]bool, len(base.Sampling))
-	for _, b := range base.Sampling {
-		key := specKey(b.Benchmark, b.Label)
-		seen[key] = true
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: sampling for [%s] missing from new results", id, key))
-			continue
-		}
-		newMetric := metricsByName(h.Summary.Metrics)
-		for _, m := range b.Summary.Metrics {
-			nm, ok := newMetric[m.Name]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] sampled metric %q missing from new results", id, key, m.Name))
-				continue
-			}
+	diffSection(res, id, "sampling", base.Sampling, head.Sampling, func(key string, b, h *sim.SampleSummary) {
+		pair(b.Metrics, h.Metrics, metricName, func(name string, i, j int) {
 			res.Compared++
-			checkCell(res, id, key,
-				stats.Column{Name: "sampling." + m.Name}, m.Mean, nm.Mean, opt)
-		}
-	}
-	for _, s := range head.Sampling {
-		if key := specKey(s.Benchmark, s.Label); !seen[key] {
-			res.Warnings = append(res.Warnings,
-				fmt.Sprintf("%s: sampling for [%s] only in new results", id, key))
-		}
-	}
+			checkCell(res, id, key, stats.Column{Name: "sampling." + name},
+				b.Metrics[i].Mean, h.Metrics[j].Mean, opt)
+		}, func(name string) {
+			res.mismatch("%s: [%s] sampled metric %q missing from new results", id, key, name)
+		})
+	})
 }
 
 // diffSampleCI validates a sampled result set against a reference
@@ -510,54 +432,27 @@ func diffSampling(res *Result, base, head *experiments.Report, opt Options) {
 func diffSampleCI(res *Result, base, head *experiments.Report, opt Options) {
 	id := base.ID
 	if len(base.Sampling) == 0 {
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("%s: reference has no sampling section (run it with -sample-echo or -sample)", id))
+		res.mismatch("%s: reference has no sampling section (run it with -sample-echo or -sample)", id)
 		return
 	}
 	if len(head.Sampling) == 0 {
-		res.Mismatches = append(res.Mismatches,
-			fmt.Sprintf("%s: sampled results have no sampling section (run with -sample)", id))
+		res.mismatch("%s: sampled results have no sampling section (run with -sample)", id)
 		return
 	}
-	newByKey := make(map[string]sim.SpecSampling, len(head.Sampling))
-	for _, s := range head.Sampling {
-		newByKey[specKey(s.Benchmark, s.Label)] = s
-	}
-	for _, b := range base.Sampling {
-		key := specKey(b.Benchmark, b.Label)
-		h, ok := newByKey[key]
-		if !ok {
-			res.Mismatches = append(res.Mismatches,
-				fmt.Sprintf("%s: sampling for [%s] missing from sampled results", id, key))
-			continue
-		}
-		newMetric := metricsByName(h.Summary.Metrics)
-		for _, m := range b.Summary.Metrics {
-			nm, ok := newMetric[m.Name]
-			if !ok {
-				res.Mismatches = append(res.Mismatches,
-					fmt.Sprintf("%s: [%s] sampled metric %q missing", id, key, m.Name))
-				continue
-			}
+	pair(base.Sampling, head.Sampling, specKey[sim.SampleSummary], func(key string, i, j int) {
+		bm, hm := base.Sampling[i].Summary.Metrics, head.Sampling[j].Summary.Metrics
+		pair(bm, hm, metricName, func(name string, i, j int) {
+			m, nm := bm[i], hm[j]
 			res.Compared++
 			tol := nm.CI + m.CI + opt.SampleATol + opt.SampleRTol*math.Abs(m.Mean)
 			if math.Abs(nm.Mean-m.Mean) > tol {
 				res.Findings = append(res.Findings, Finding{
-					Experiment: id, Row: key, Column: "sampling." + m.Name + " (ci-gate)",
+					Experiment: id, Row: key, Column: "sampling." + name + " (ci-gate)",
 					Old: m.Mean, New: nm.Mean, Rel: rel(m.Mean, nm.Mean),
 				})
 			}
-		}
-	}
-}
-
-// metricsByName indexes a sampled metric list for pairing.
-func metricsByName(ms []sim.MetricCI) map[string]sim.MetricCI {
-	out := make(map[string]sim.MetricCI, len(ms))
-	for _, m := range ms {
-		out[m.Name] = m
-	}
-	return out
+		}, func(name string) { res.mismatch("%s: [%s] sampled metric %q missing", id, key, name) })
+	}, func(key string) { res.mismatch("%s: sampling for [%s] missing from sampled results", id, key) })
 }
 
 // checkShare applies the absolute AttribTol bound to one share pair.

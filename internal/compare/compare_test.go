@@ -137,6 +137,19 @@ func TestMissingExperimentRowColumnFail(t *testing.T) {
 	if !res.Failed() || !strings.Contains(res.String(), `column "gain" missing`) {
 		t.Errorf("missing column not flagged:\n%s", res)
 	}
+
+	// Missing column while the first base row is missing too: the
+	// column is still reported.
+	tb3 := stats.NewTable("benchmark", "ipc", "mpki").SetUnits(stats.UnitNone, stats.UnitIPC, stats.UnitNone)
+	tb3.AddCells(stats.Str("a"), stats.Num(2.4, "x"), stats.Num(3, "3"))
+	tb3.AddCells(stats.Str("b"), stats.Num(1.5, "1.5"), stats.Num(4, "4"))
+	tb4 := stats.NewTable("benchmark", "ipc").SetUnits(stats.UnitNone, stats.UnitIPC)
+	tb4.AddCells(stats.Str("b"), stats.Num(1.5, "1.5"))
+	res = Diff(map[string]*experiments.Report{"fig14": {ID: "fig14", Title: "t", Table: tb3}},
+		map[string]*experiments.Report{"fig14": {ID: "fig14", Title: "t", Table: tb4}}, Options{})
+	if got := res.String(); !strings.Contains(got, "row [a] missing") || !strings.Contains(got, `column "mpki" missing`) {
+		t.Errorf("missing first row hid the missing column:\n%s", got)
+	}
 }
 
 func TestLoadPathSingleFileAndErrors(t *testing.T) {
@@ -227,7 +240,7 @@ func TestV2ReportDiffsAgainstV1Golden(t *testing.T) {
 // mkIVReport attaches an intervals section to a base report.
 func mkIVReport(ipcMean, coverage float64) *experiments.Report {
 	r := mkReport("fig14", 2.4, 0.05)
-	r.Intervals = []sim.SpecIntervals{{
+	r.Intervals = []experiments.Spec[metrics.Summary]{{
 		Benchmark: "voter", Label: "skia",
 		Summary: metrics.Summary{Every: 1000, Count: 3, IPCMean: ipcMean, SBBCoverage: coverage},
 	}}
@@ -282,7 +295,7 @@ func TestIntervalSummaryDrift(t *testing.T) {
 // one-stall summary whose shares are the test's inputs.
 func mkAttribReport(sbbHit, notResident float64) *experiments.Report {
 	r := mkReport("fig14", 2.4, 0.05)
-	r.Attribution = []sim.SpecAttribution{{
+	r.Attribution = []experiments.Spec[attrib.Summary]{{
 		Benchmark: "voter", Label: "skia",
 		Summary: attrib.Summary{
 			BTBMisses: 100, StallCycles: 50, ShadowResidentShare: sbbHit,
@@ -381,7 +394,7 @@ func TestAttributionSectionsSurviveFileRoundTrip(t *testing.T) {
 // given ipc mean and CI (exact echoes use ci 0).
 func mkSampled(id string, mean, ci float64, exact bool) *experiments.Report {
 	rep := mkReport(id, 2.4, 0.05)
-	rep.Sampling = []sim.SpecSampling{{
+	rep.Sampling = []experiments.Spec[sim.SampleSummary]{{
 		Benchmark: "voter", Label: "skia",
 		Summary: sim.SampleSummary{
 			Exact: exact,

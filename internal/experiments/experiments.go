@@ -23,7 +23,9 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/attrib"
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -110,17 +112,25 @@ type Report struct {
 	// when the run collected interval timeseries (Options.Interval);
 	// nil otherwise. Serialized as the envelope's optional `intervals`
 	// section (schema v2).
-	Intervals []sim.SpecIntervals
+	Intervals []Spec[metrics.Summary]
 	// Attribution holds one miss-attribution summary per simulated
 	// spec when the run enabled it (Options.Attrib); nil otherwise.
 	// Serialized as the envelope's optional `attribution` section
 	// (schema v3).
-	Attribution []sim.SpecAttribution
+	Attribution []Spec[attrib.Summary]
 	// Sampling holds one sampled-simulation summary per simulated spec
 	// when the run sampled (Options.Sample) or echoed exact values
 	// (Options.SampleEcho); nil otherwise. Serialized as the
 	// envelope's optional `sampling` section (schema v5).
-	Sampling []sim.SpecSampling
+	Sampling []Spec[sim.SampleSummary]
+}
+
+// Spec is one entry of a per-spec envelope section: a simulated spec's
+// summary under its identity, the benchmark and config label.
+type Spec[T any] struct {
+	Benchmark string `json:"benchmark"`
+	Label     string `json:"label,omitempty"`
+	Summary   T      `json:"summary"`
 }
 
 // String renders the report.
@@ -199,9 +209,6 @@ func (s *sweep) sum(v int, f func(sim.Result) uint64) uint64 {
 	}
 	return n
 }
-
-// report stamps rep with the sweep's run metadata.
-func (s *sweep) report(rep *Report) *Report { return s.o.stamp(rep, s.r, s.benches) }
 
 // pct formats a fraction as a percentage string.
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
 
+	"repro/internal/attrib"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -128,43 +132,63 @@ func (o Options) meta(benches []string) RunMeta {
 	return m
 }
 
-// stamp fills the report's run-metadata envelope from the options, the
-// benchmark list actually simulated, and the runner that executed the
-// specs (nil for static tables). It returns the report for use in
-// return statements.
-func (o Options) stamp(rep *Report, r *sim.Runner, benches []string) *Report {
-	m := o.meta(benches)
-	if r != nil {
-		st := r.Stats()
-		m.Sim = &st
-		seen := make(map[string]bool)
-		for _, sp := range st.Specs {
-			if !seen[sp.Label] {
-				seen[sp.Label] = true
-				m.ConfigLabels = append(m.ConfigLabels, sp.Label)
-			}
+// report stamps rep with the sweep's run metadata and builds its
+// per-spec sections from the sweep's results. It returns the report
+// for use in return statements.
+func (s *sweep) report(rep *Report) *Report {
+	m := s.o.meta(s.benches)
+	st := s.r.Stats()
+	m.Sim = &st
+	seen := make(map[string]bool)
+	for _, sp := range st.Specs {
+		if !seen[sp.Label] {
+			seen[sp.Label] = true
+			m.ConfigLabels = append(m.ConfigLabels, sp.Label)
 		}
-		rep.Intervals = r.IntervalSummaries()
-		rep.Attribution = r.AttributionSummaries()
-		rep.Sampling = r.SamplingSummaries()
 	}
 	rep.Meta = m
+	if s.o.Interval > 0 {
+		rep.Intervals = section(s, func(res sim.Result) *metrics.Summary {
+			sum := metrics.Summarize(s.o.Interval, res.Intervals)
+			return &sum
+		})
+	}
+	rep.Attribution = section(s, func(res sim.Result) *attrib.Summary { return res.Attribution })
+	rep.Sampling = section(s, func(res sim.Result) *sim.SampleSummary { return res.Sampling })
 	return rep
+}
+
+// section collects one envelope section over the sweep's results: get
+// returns a result's summary, nil when it carries none. Entries sort by
+// benchmark then label, the order of meta.sim.specs.
+func section[T any](s *sweep, get func(sim.Result) *T) []Spec[T] {
+	var out []Spec[T]
+	for _, row := range s.res {
+		for _, res := range row {
+			if sum := get(res); sum != nil {
+				out = append(out, Spec[T]{res.Benchmark, res.Label, *sum})
+			}
+		}
+	}
+	slices.SortStableFunc(out, func(a, b Spec[T]) int {
+		return cmp.Or(cmp.Compare(a.Benchmark, b.Benchmark), cmp.Compare(a.Label, b.Label))
+	})
+	return out
 }
 
 // reportJSON is the on-disk envelope. Field order here is the field
 // order in the emitted JSON; EXPERIMENTS.md ("Results schema")
 // documents it field by field.
 type reportJSON struct {
-	SchemaVersion int                   `json:"schema_version"`
-	ID            string                `json:"id"`
-	Title         string                `json:"title"`
-	Meta          RunMeta               `json:"meta"`
-	Table         *stats.Table          `json:"table"`
-	Notes         []string              `json:"notes,omitempty"`
-	Intervals     []sim.SpecIntervals   `json:"intervals,omitempty"`
-	Attribution   []sim.SpecAttribution `json:"attribution,omitempty"`
-	Sampling      []sim.SpecSampling    `json:"sampling,omitempty"`
+	SchemaVersion int                       `json:"schema_version"`
+	ID            string                    `json:"id"`
+	Title         string                    `json:"title"`
+	Meta          RunMeta                   `json:"meta"`
+	Table         *stats.Table              `json:"table"`
+	Notes         []string                  `json:"notes,omitempty"`
+	Intervals     []Spec[metrics.Summary]   `json:"intervals,omitempty"`
+	Attribution   []Spec[attrib.Summary]    `json:"attribution,omitempty"`
+	Sampling      []Spec[sim.SampleSummary] `json:"sampling,omitempty"`
 }
 
 // MarshalJSON wraps the report in the versioned run-metadata envelope.

@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // TestReportJSONRoundTrip marshals a freshly simulated report, decodes
@@ -80,11 +78,8 @@ func TestReportMetaStamped(t *testing.T) {
 		t.Errorf("sim stats = %+v", m.Sim)
 	}
 	// Defaults resolve when the options leave windows at zero.
-	var o2 Options
-	rep2 := &Report{ID: "x", Table: stats.NewTable("a")}
-	o2.stamp(rep2, nil, nil)
-	if rep2.Meta.WarmupInstructions == 0 || rep2.Meta.MeasureInstructions == 0 {
-		t.Errorf("default windows not resolved: %+v", rep2.Meta)
+	if m2 := (Options{}).meta(nil); m2.WarmupInstructions == 0 || m2.MeasureInstructions == 0 {
+		t.Errorf("default windows not resolved: %+v", m2)
 	}
 }
 

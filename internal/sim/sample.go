@@ -197,14 +197,6 @@ type SampleSummary struct {
 	Counters SampleStats `json:"counters"`
 }
 
-// SpecSampling pairs one spec's sampling summary with its identity,
-// for embedding in report envelopes.
-type SpecSampling struct {
-	Benchmark string        `json:"benchmark"`
-	Label     string        `json:"label,omitempty"`
-	Summary   SampleSummary `json:"summary"`
-}
-
 // sampleMetrics is the fixed registry of headline metrics reported
 // with confidence intervals. Order is the report order.
 var sampleMetrics = []struct {
@@ -567,29 +559,4 @@ func (r *Runner) runSampled(spec RunSpec, master *cpu.Core, plan SamplePlan, mea
 	}
 	out := Result{Result: agg, Label: spec.Label, Intervals: rows, Sampling: summary}
 	return out, sstats.MicroWarmupInstructions + sstats.MeasuredInstructions, nil
-}
-
-// SamplingSummaries returns one sampling summary per sampled (or
-// exact-echo) run so far, sorted by benchmark then label (matching
-// Stats().Specs order).
-func (r *Runner) SamplingSummaries() []SpecSampling {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]SpecSampling(nil), r.samplingSums...)
-	sortByBenchLabel(out, func(s SpecSampling) (string, string) { return s.Benchmark, s.Label })
-	return out
-}
-
-// sortByBenchLabel stable-sorts xs by (benchmark, label).
-func sortByBenchLabel[T any](xs []T, key func(T) (string, string)) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0; j-- {
-			bj, lj := key(xs[j])
-			bp, lp := key(xs[j-1])
-			if bp < bj || (bp == bj && lp <= lj) {
-				break
-			}
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

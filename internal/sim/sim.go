@@ -5,9 +5,11 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,22 +79,6 @@ type Result struct {
 	Sampling *SampleSummary
 }
 
-// SpecIntervals pairs one spec's interval summary with its identity,
-// for embedding in report envelopes.
-type SpecIntervals struct {
-	Benchmark string          `json:"benchmark"`
-	Label     string          `json:"label,omitempty"`
-	Summary   metrics.Summary `json:"summary"`
-}
-
-// SpecAttribution pairs one spec's miss-attribution summary with its
-// identity, for embedding in report envelopes (schema v3+).
-type SpecAttribution struct {
-	Benchmark string         `json:"benchmark"`
-	Label     string         `json:"label,omitempty"`
-	Summary   attrib.Summary `json:"summary"`
-}
-
 // SpecTiming records the wall time and instruction volume of one
 // completed simulation, for the throughput envelope experiment reports
 // carry.
@@ -160,17 +146,13 @@ type Runner struct {
 	// an exact one with skiacmp -sample-ci over identical keys.
 	SampleEcho bool
 
-	// All capture below is guarded by mu: Run is called from RunAll's
-	// worker goroutines, and each run's collector lives privately in
-	// its Run call until record() books the summary.
-	timings      []SpecTiming
-	intervalSums []SpecIntervals
-	attribSums   []SpecAttribution
-	samplingSums []SpecSampling
-	totalInsts   uint64
-	cpuSeconds   float64
-	firstStart   time.Time
-	lastEnd      time.Time
+	// The timing counters below are guarded by mu: Run is called from
+	// RunAll's worker goroutines.
+	timings    []SpecTiming
+	totalInsts uint64
+	cpuSeconds float64
+	firstStart time.Time
+	lastEnd    time.Time
 }
 
 // NewRunner returns an empty runner.
@@ -199,39 +181,16 @@ func (r *Runner) Workload(name string) (*workload.Workload, error) {
 }
 
 // record books one successful simulation into the runner's timing
-// counters, together with the interval, attribution and sampling
-// summaries the result carries. insts is the detail volume simulated.
+// counters. insts is the detail volume simulated.
 func (r *Runner) record(res Result, insts uint64, start, end time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	bench, label := res.Benchmark, res.Label
 	r.timings = append(r.timings, SpecTiming{
-		Benchmark:    bench,
-		Label:        label,
+		Benchmark:    res.Benchmark,
+		Label:        res.Label,
 		Instructions: insts,
 		Seconds:      end.Sub(start).Seconds(),
 	})
-	if r.Interval > 0 {
-		r.intervalSums = append(r.intervalSums, SpecIntervals{
-			Benchmark: bench,
-			Label:     label,
-			Summary:   metrics.Summarize(r.Interval, res.Intervals),
-		})
-	}
-	if res.Attribution != nil {
-		r.attribSums = append(r.attribSums, SpecAttribution{
-			Benchmark: bench,
-			Label:     label,
-			Summary:   *res.Attribution,
-		})
-	}
-	if res.Sampling != nil {
-		r.samplingSums = append(r.samplingSums, SpecSampling{
-			Benchmark: bench,
-			Label:     label,
-			Summary:   *res.Sampling,
-		})
-	}
 	r.totalInsts += insts
 	r.cpuSeconds += end.Sub(start).Seconds()
 	if r.firstStart.IsZero() || start.Before(r.firstStart) {
@@ -256,7 +215,9 @@ func (r *Runner) Stats() RunnerStats {
 		CPUSeconds:   r.cpuSeconds,
 		Specs:        append([]SpecTiming(nil), r.timings...),
 	}
-	sortByBenchLabel(st.Specs, func(s SpecTiming) (string, string) { return s.Benchmark, s.Label })
+	slices.SortStableFunc(st.Specs, func(a, b SpecTiming) int {
+		return cmp.Or(cmp.Compare(a.Benchmark, b.Benchmark), cmp.Compare(a.Label, b.Label))
+	})
 	if !r.firstStart.IsZero() {
 		st.WallSeconds = r.lastEnd.Sub(r.firstStart).Seconds()
 	}
@@ -335,27 +296,6 @@ func (r *Runner) measure(spec RunSpec, c *cpu.Core, n uint64) (Result, error) {
 		out.Attribution = &s
 	}
 	return out, nil
-}
-
-// IntervalSummaries returns one summary per interval-collecting run so
-// far, sorted by benchmark then label (matching Stats().Specs order).
-func (r *Runner) IntervalSummaries() []SpecIntervals {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]SpecIntervals(nil), r.intervalSums...)
-	sortByBenchLabel(out, func(s SpecIntervals) (string, string) { return s.Benchmark, s.Label })
-	return out
-}
-
-// AttributionSummaries returns one attribution summary per
-// attribution-enabled run so far, sorted by benchmark then label
-// (matching Stats().Specs order).
-func (r *Runner) AttributionSummaries() []SpecAttribution {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := append([]SpecAttribution(nil), r.attribSums...)
-	sortByBenchLabel(out, func(s SpecAttribution) (string, string) { return s.Benchmark, s.Label })
-	return out
 }
 
 // RunAll executes the specs concurrently (bounded by Workers) and

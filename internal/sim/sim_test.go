@@ -345,36 +345,30 @@ func TestRunIntervalLargerThanWindow(t *testing.T) {
 }
 
 // TestRunnerIntervalDefault: the runner-level knob enables collection
-// for every spec, and summaries land in IntervalSummaries sorted like
-// Stats().Specs.
+// for every spec, and each result's rows summarize at that window.
 func TestRunnerIntervalDefault(t *testing.T) {
 	r := NewRunner()
 	r.Interval = 50_000
-	if _, err := r.RunAll([]RunSpec{quickSpec("a", false), quickSpec("b", true)}); err != nil {
+	results, err := r.RunAll([]RunSpec{quickSpec("a", false), quickSpec("b", true)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	sums := r.IntervalSummaries()
-	if len(sums) != 2 {
-		t.Fatalf("summaries = %+v", sums)
-	}
-	if sums[0].Label != "a" || sums[1].Label != "b" {
-		t.Errorf("summaries not sorted: %+v", sums)
-	}
-	for _, s := range sums {
-		if s.Benchmark != "noop" || s.Summary.Count == 0 || s.Summary.Instructions == 0 {
-			t.Errorf("empty summary: %+v", s)
+	for _, res := range results {
+		s := metrics.Summarize(r.Interval, res.Intervals)
+		if res.Benchmark != "noop" || s.Count == 0 || s.Instructions == 0 {
+			t.Errorf("%s: empty summary: %+v", res.Label, s)
 		}
-		if s.Summary.Every != 50_000 {
-			t.Errorf("every = %d", s.Summary.Every)
+		if s.Every != 50_000 {
+			t.Errorf("%s: every = %d", res.Label, s.Every)
 		}
 	}
 	// Disabled runners collect nothing.
-	r2 := NewRunner()
-	if _, err := r2.Run(quickSpec("off", false)); err != nil {
+	res, err := NewRunner().Run(quickSpec("off", false))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.IntervalSummaries(); len(got) != 0 {
-		t.Errorf("intervals collected while disabled: %+v", got)
+	if len(res.Intervals) != 0 {
+		t.Errorf("intervals collected while disabled: %+v", res.Intervals)
 	}
 }
 
@@ -432,9 +426,6 @@ func TestRunAllCollectorsRaceFree(t *testing.T) {
 		if len(res.Intervals) == 0 {
 			t.Errorf("spec %d collected no intervals", i)
 		}
-	}
-	if got := len(r.IntervalSummaries()); got != len(specs) {
-		t.Errorf("summaries = %d, want %d", got, len(specs))
 	}
 	if got := len(r.Stats().Specs); got != len(specs) {
 		t.Errorf("timings = %d, want %d", got, len(specs))
@@ -496,9 +487,6 @@ func TestAttributionConservation(t *testing.T) {
 					sbbHit, res.FE.SBBCoveredTotal())
 			}
 		}
-		if got := len(r.AttributionSummaries()); got != 1 {
-			t.Errorf("%s: AttributionSummaries = %d entries, want 1", label, got)
-		}
 	}
 }
 
@@ -541,15 +529,11 @@ func TestObserversDoNotChangeResults(t *testing.T) {
 // TestAttributionDisabledByDefault guards the unobserved fast path:
 // no engine, no summary.
 func TestAttributionDisabledByDefault(t *testing.T) {
-	r := NewRunner()
-	res, err := r.Run(quickSpec("plain", true))
+	res, err := NewRunner().Run(quickSpec("plain", true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Attribution != nil {
 		t.Error("Attribution non-nil without Attrib")
-	}
-	if len(r.AttributionSummaries()) != 0 {
-		t.Error("runner recorded attribution without Attrib")
 	}
 }
