@@ -284,11 +284,13 @@ func BenchmarkFrontEndCycle_WithTracer(b *testing.B) {
 // BenchmarkFrontEndCycle_WithAttribution measures the loop with a miss
 // attribution engine attached to the front end's event stream:
 // per-cycle FTQ samples, per-miss classification, and per-stall-cycle
-// accounting. Compare ns/op against BenchmarkFrontEndCycle; attribution
-// must stay within a few percent (the <2% guard is on the *disabled*
-// path, which stays one comparison per site — enabled attribution is
-// expected to cost slightly more than tracing since it sees an event
-// every cycle).
+// accounting. Compare ns/op against BenchmarkFrontEndCycle. Enabled
+// attribution sees an event every cycle and is not free: on a 2-vCPU
+// VM (medians of 6 runs) the map-backed engine cost 20% over the
+// unobserved loop (557 against 463 µs/op, about 950 B/op); with its
+// per-line tables and FTQ occupancy counts in dense arrays it costs 7%
+// (459 against 430 µs/op, about 670 B/op). The <2% guard is on the
+// *disabled* path, which stays one comparison per site.
 func BenchmarkFrontEndCycle_WithAttribution(b *testing.B) {
 	c := observabilityCore(b)
 	attach := func(c *cpu.Core) {
@@ -312,8 +314,10 @@ func BenchmarkFrontEndCycle_WithAttribution(b *testing.B) {
 // check proves no compiler-reported escape sits inside an annotated
 // function, and this ratchet proves the composed steady-state loop
 // (1000 cycles per op) stays within one allocation per op — the
-// occasional map-growth rehash, nothing per-cycle. skiabench enforces
-// the same absolute budget on the frontend-cycle registry entry.
+// occasional map-growth rehash, nothing per-cycle — with and without a
+// miss-attribution engine attached. skiabench enforces the same
+// absolute budget on the frontend-cycle and frontend-cycle-attrib
+// registry entries.
 func TestFrontEndCycleAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full benchmark")
@@ -321,8 +325,16 @@ func TestFrontEndCycleAllocBudget(t *testing.T) {
 	if invariantsArmed {
 		t.Skip("skiainvariants assertions are noinline and cost a few allocs; the budget pins the default build")
 	}
-	r := testing.Benchmark(BenchmarkFrontEndCycle)
-	if a := r.AllocsPerOp(); a > 1 {
-		t.Fatalf("front-end cycle path allocates %d allocs/op (budget 1): a per-cycle allocation crept past the //skia:noalloc annotations", a)
+	for _, bm := range []struct {
+		name string
+		fn   func(*testing.B)
+	}{
+		{"unobserved", BenchmarkFrontEndCycle},
+		{"attributed", BenchmarkFrontEndCycle_WithAttribution},
+	} {
+		r := testing.Benchmark(bm.fn)
+		if a := r.AllocsPerOp(); a > 1 {
+			t.Errorf("%s front-end cycle path allocates %d allocs/op (budget 1): a per-cycle allocation crept past the //skia:noalloc annotations", bm.name, a)
+		}
 	}
 }

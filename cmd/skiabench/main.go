@@ -33,6 +33,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/attrib"
 	"repro/internal/compare"
 	"repro/internal/cpu"
 	"repro/internal/experiments"
@@ -170,8 +171,17 @@ func cycleCore(cfg cpu.Config, warm uint64) (*cpu.Core, error) {
 }
 
 // benchCycle measures the simulated front-end cycle in 1000-instruction
-// slices (the same loop as bench_test.go's BenchmarkFrontEndCycle).
-func benchCycle(cfg cpu.Config) (Entry, error) {
+// slices (the same loop as bench_test.go's BenchmarkFrontEndCycle),
+// with a miss-attribution engine attached when attributed is set
+// (BenchmarkFrontEndCycle_WithAttribution).
+func benchCycle(cfg cpu.Config, attributed bool) (Entry, error) {
+	mk := func() (*cpu.Core, error) {
+		c, err := cycleCore(cfg, 100_000)
+		if err == nil && attributed {
+			c.AttachAttribution(attrib.NewEngine())
+		}
+		return c, err
+	}
 	var retired uint64
 	r := testing.Benchmark(func(b *testing.B) {
 		// The core is rebuilt per invocation: testing.Benchmark probes
@@ -179,7 +189,7 @@ func benchCycle(cfg cpu.Config) (Entry, error) {
 		// count only the final timed run.
 		retired = 0
 		b.StopTimer()
-		c, err := cycleCore(cfg, 100_000)
+		c, err := mk()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +198,7 @@ func benchCycle(cfg cpu.Config) (Entry, error) {
 		for i := 0; i < b.N; i++ {
 			if c.Run(1000) == 0 {
 				b.StopTimer()
-				nc, err := cycleCore(cfg, 100_000)
+				nc, err := mk()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -367,9 +377,10 @@ func registry() []regEntry {
 	noCache := cpu.SkiaConfig()
 	noCache.Frontend.NoDecodeCache = true
 	return []regEntry{
-		{"frontend-cycle", func() (Entry, error) { return benchCycle(cpu.SkiaConfig()) }, 1},
-		{"frontend-cycle-nocache", func() (Entry, error) { return benchCycle(noCache) }, -1},
-		{"frontend-cycle-baseline", func() (Entry, error) { return benchCycle(cpu.DefaultConfig()) }, 1},
+		{"frontend-cycle", func() (Entry, error) { return benchCycle(cpu.SkiaConfig(), false) }, 1},
+		{"frontend-cycle-attrib", func() (Entry, error) { return benchCycle(cpu.SkiaConfig(), true) }, 1},
+		{"frontend-cycle-nocache", func() (Entry, error) { return benchCycle(noCache, false) }, -1},
+		{"frontend-cycle-baseline", func() (Entry, error) { return benchCycle(cpu.DefaultConfig(), false) }, 1},
 		{"fastforward-cold", func() (Entry, error) { return benchFastForward(false) }, -1},
 		{"fastforward-warm", func() (Entry, error) { return benchFastForward(true) }, -1},
 		{"fig14-reduced", func() (Entry, error) { return benchExperiment(experiments.Fig14) }, -1},

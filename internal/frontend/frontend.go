@@ -273,8 +273,13 @@ func (f *FrontEnd) ExtraOffLines() int { return len(f.extraOffs) }
 func (f *FrontEnd) SetTracer(t *metrics.RingTracer) { f.tr = t }
 
 // SetAttribution attaches (or, with nil, detaches) a miss-attribution
-// engine.
-func (f *FrontEnd) SetAttribution(e *attrib.Engine) { f.at = e }
+// engine, sizing its tables to the workload's program image.
+func (f *FrontEnd) SetAttribution(e *attrib.Engine) {
+	if e != nil {
+		e.SetImage(f.w.Prog.Base, f.w.Prog.End())
+	}
+	f.at = e
+}
 
 // observed reports whether any observer is attached. A site whose
 // event needs an input only observers use computes it under this
