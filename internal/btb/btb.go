@@ -14,6 +14,8 @@ package btb
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -31,11 +33,17 @@ type Entry struct {
 	Class isa.Class
 }
 
+// way holds an Entry's fields inline, so that its class and valid
+// flag share one padded word and a way packs into 40 bytes.
 type way struct {
-	tag   uint64
-	valid bool
-	lru   uint64
-	e     Entry
+	tag, lru            uint64
+	target, fallThrough uint64
+	class               isa.Class
+	valid               bool
+}
+
+func (w *way) entry() Entry {
+	return Entry{Target: w.target, FallThrough: w.fallThrough, Class: w.class}
 }
 
 // Config sizes a BTB.
@@ -199,9 +207,12 @@ func (t *infTable) grow() {
 
 // BTB is the branch target buffer. Not safe for concurrent use.
 type BTB struct {
-	cfg     Config
-	sets    [][]way
+	cfg Config
+	// ways holds every set's ways back to back: set i is
+	// ways[i*cfg.Ways:(i+1)*cfg.Ways].
+	ways    []way
 	setMask uint64
+	setBits uint
 	tagMask uint64
 	tick    uint64
 	inf     *infTable
@@ -223,16 +234,13 @@ func New(cfg Config) (*BTB, error) {
 	if cfg.TagBits <= 0 || cfg.TagBits > 40 {
 		return nil, fmt.Errorf("btb: tag width %d out of range", cfg.TagBits)
 	}
-	b := &BTB{
+	return &BTB{
 		cfg:     cfg,
-		sets:    make([][]way, nsets),
+		ways:    make([]way, cfg.Entries),
 		setMask: uint64(nsets - 1),
+		setBits: uint(bits.TrailingZeros(uint(nsets))),
 		tagMask: (1 << uint(cfg.TagBits)) - 1,
-	}
-	for i := range b.sets {
-		b.sets[i] = make([]way, cfg.Ways)
-	}
-	return b, nil
+	}, nil
 }
 
 // Clone returns an independent deep copy of the BTB: same geometry,
@@ -240,7 +248,9 @@ func New(cfg Config) (*BTB, error) {
 func (b *BTB) Clone() *BTB {
 	n := &BTB{
 		cfg:     b.cfg,
+		ways:    slices.Clone(b.ways),
 		setMask: b.setMask,
+		setBits: b.setBits,
 		tagMask: b.tagMask,
 		tick:    b.tick,
 		stats:   b.stats,
@@ -252,13 +262,6 @@ func (b *BTB) Clone() *BTB {
 			shift: b.inf.shift,
 		}
 		copy(n.inf.slots, b.inf.slots)
-	}
-	if b.sets != nil {
-		n.sets = make([][]way, len(b.sets))
-		for i, s := range b.sets {
-			n.sets[i] = make([]way, len(s))
-			copy(n.sets[i], s)
-		}
 	}
 	return n
 }
@@ -272,18 +275,10 @@ func MustNew(cfg Config) *BTB {
 	return b
 }
 
-func (b *BTB) index(pc uint64) (int, uint64) {
-	set := int(pc & b.setMask)
-	tag := (pc >> uint(popcount(b.setMask))) & b.tagMask
-	return set, tag
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
+// index returns the ways of pc's set and pc's partial tag.
+func (b *BTB) index(pc uint64) ([]way, uint64) {
+	i := int(pc&b.setMask) * b.cfg.Ways
+	return b.ways[i : i+b.cfg.Ways : i+b.cfg.Ways], (pc >> b.setBits) & b.tagMask
 }
 
 // Lookup probes the BTB at pc, updating LRU on hit.
@@ -301,13 +296,13 @@ func (b *BTB) Lookup(pc uint64) (Entry, bool) {
 		return e, ok
 	}
 	set, tag := b.index(pc)
-	for w := range b.sets[set] {
-		wy := &b.sets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
 			b.tick++
 			wy.lru = b.tick
 			b.stats.Hits++
-			return wy.e, true
+			return wy.entry(), true
 		}
 	}
 	b.stats.Misses++
@@ -323,10 +318,10 @@ func (b *BTB) Probe(pc uint64) (Entry, bool) {
 		return b.inf.get(pc)
 	}
 	set, tag := b.index(pc)
-	for w := range b.sets[set] {
-		wy := &b.sets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
-			return wy.e, true
+			return wy.entry(), true
 		}
 	}
 	return Entry{}, false
@@ -345,10 +340,10 @@ func (b *BTB) Insert(pc uint64, e Entry) {
 	}
 	set, tag := b.index(pc)
 	b.tick++
-	for w := range b.sets[set] {
-		wy := &b.sets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
-			wy.e = e
+			wy.target, wy.fallThrough, wy.class = e.Target, e.FallThrough, e.Class
 			wy.lru = b.tick
 			b.stats.Updates++
 			return
@@ -357,8 +352,8 @@ func (b *BTB) Insert(pc uint64, e Entry) {
 	// Replace invalid way first, else LRU.
 	victim := -1
 	var vlru uint64 = ^uint64(0)
-	for w := range b.sets[set] {
-		wy := &b.sets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if !wy.valid {
 			victim = w
 			break
@@ -367,10 +362,10 @@ func (b *BTB) Insert(pc uint64, e Entry) {
 			victim, vlru = w, wy.lru
 		}
 	}
-	if b.sets[set][victim].valid {
+	if set[victim].valid {
 		b.stats.Evictions++
 	}
-	b.sets[set][victim] = way{tag: tag, valid: true, lru: b.tick, e: e}
+	set[victim] = way{tag: tag, lru: b.tick, target: e.Target, fallThrough: e.FallThrough, class: e.Class, valid: true}
 }
 
 // Invalidate removes the entry for pc if present.
@@ -380,8 +375,8 @@ func (b *BTB) Invalidate(pc uint64) {
 		return
 	}
 	set, tag := b.index(pc)
-	for w := range b.sets[set] {
-		wy := &b.sets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
 			*wy = way{}
 		}

@@ -9,7 +9,10 @@
 // being used.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Stats aggregates cache event counts.
 type Stats struct {
@@ -24,18 +27,21 @@ type Stats struct {
 	PollutionEvicted uint64
 }
 
+// line keeps its flags after the words, so it packs into 24 bytes.
 type line struct {
 	tag        uint64
-	valid      bool
 	lru        uint64 // higher = more recently used
-	prefetched bool   // filled by prefetch
-	used       bool   // demand-accessed since fill
+	valid      bool
+	prefetched bool // filled by prefetch
+	used       bool // demand-accessed since fill
 }
 
 // Cache is a set-associative cache with true-LRU replacement. It is not
 // safe for concurrent use.
 type Cache struct {
-	sets     [][]line
+	// lines holds every set's ways back to back: set i is
+	// lines[i*ways:(i+1)*ways].
+	lines    []line
 	ways     int
 	lineBits uint
 	setBits  uint
@@ -70,17 +76,13 @@ func New(sizeBytes, ways, lineSize int) (*Cache, error) {
 	for 1<<setBits < nsets {
 		setBits++
 	}
-	c := &Cache{
-		sets:     make([][]line, nsets),
+	return &Cache{
+		lines:    make([]line, nlines),
 		ways:     ways,
 		lineBits: lineBits,
 		setBits:  setBits,
 		setMask:  uint64(nsets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, ways)
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New for static configurations where an error is a bug.
@@ -95,31 +97,28 @@ func MustNew(sizeBytes, ways, lineSize int) *Cache {
 // Clone returns an independent deep copy of the cache: same geometry,
 // same resident lines and LRU state, same statistics.
 func (c *Cache) Clone() *Cache {
-	n := &Cache{
+	return &Cache{
+		lines:    slices.Clone(c.lines),
 		ways:     c.ways,
 		lineBits: c.lineBits,
 		setBits:  c.setBits,
 		setMask:  c.setMask,
 		tick:     c.tick,
 		stats:    c.stats,
-		sets:     make([][]line, len(c.sets)),
 	}
-	for i, s := range c.sets {
-		n.sets[i] = make([]line, len(s))
-		copy(n.sets[i], s)
-	}
-	return n
 }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// index returns the ways of the set addr maps to and addr's tag.
+func (c *Cache) index(addr uint64) (set []line, tag uint64) {
 	l := addr >> c.lineBits
-	return int(l & c.setMask), l >> c.setBits
+	i := int(l&c.setMask) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways], l >> c.setBits
 }
 
 // find returns the way index of the line or -1.
-func (c *Cache) find(set int, tag uint64) int {
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
+func find(set []line, tag uint64) int {
+	for w := range set {
+		if set[w].valid && set[w].tag == tag {
 			return w
 		}
 	}
@@ -128,14 +127,14 @@ func (c *Cache) find(set int, tag uint64) int {
 
 // victim returns the way to replace in set: an invalid way if any,
 // otherwise the least recently used.
-func (c *Cache) victim(set int) int {
+func victim(set []line) int {
 	best, bestLRU := -1, ^uint64(0)
-	for w := range c.sets[set] {
-		if !c.sets[set][w].valid {
+	for w := range set {
+		if !set[w].valid {
 			return w
 		}
-		if c.sets[set][w].lru < bestLRU {
-			best, bestLRU = w, c.sets[set][w].lru
+		if set[w].lru < bestLRU {
+			best, bestLRU = w, set[w].lru
 		}
 	}
 	return best
@@ -146,8 +145,8 @@ func (c *Cache) victim(set int) int {
 func (c *Cache) Demand(addr uint64) bool {
 	c.tick++
 	set, tag := c.index(addr)
-	if w := c.find(set, tag); w >= 0 {
-		ln := &c.sets[set][w]
+	if w := find(set, tag); w >= 0 {
+		ln := &set[w]
 		ln.lru = c.tick
 		ln.used = true
 		c.stats.DemandHits++
@@ -165,8 +164,8 @@ func (c *Cache) Prefetch(addr uint64) bool {
 	c.tick++
 	c.stats.PrefetchIssued++
 	set, tag := c.index(addr)
-	if w := c.find(set, tag); w >= 0 {
-		c.sets[set][w].lru = c.tick
+	if w := find(set, tag); w >= 0 {
+		set[w].lru = c.tick
 		c.stats.PrefetchHits++
 		return true
 	}
@@ -176,9 +175,8 @@ func (c *Cache) Prefetch(addr uint64) bool {
 }
 
 // fill installs a line, evicting the LRU victim.
-func (c *Cache) fill(set int, tag uint64, prefetched bool) {
-	w := c.victim(set)
-	ln := &c.sets[set][w]
+func (c *Cache) fill(set []line, tag uint64, prefetched bool) {
+	ln := &set[victim(set)]
 	if ln.valid {
 		c.stats.Evictions++
 		if ln.prefetched && !ln.used {
@@ -192,14 +190,14 @@ func (c *Cache) fill(set int, tag uint64, prefetched bool) {
 // touching LRU state or statistics (a probe, not an access).
 func (c *Cache) Contains(addr uint64) bool {
 	set, tag := c.index(addr)
-	return c.find(set, tag) >= 0
+	return find(set, tag) >= 0
 }
 
 // Invalidate drops the line containing addr if present.
 func (c *Cache) Invalidate(addr uint64) {
 	set, tag := c.index(addr)
-	if w := c.find(set, tag); w >= 0 {
-		c.sets[set][w] = line{}
+	if w := find(set, tag); w >= 0 {
+		set[w] = line{}
 	}
 }
 
@@ -211,7 +209,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // NumSets returns the number of sets.
-func (c *Cache) NumSets() int { return len(c.sets) }
+func (c *Cache) NumSets() int { return len(c.lines) / c.ways }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }

@@ -12,36 +12,33 @@ import "fmt"
 const invariantsEnabled = true
 
 // sbbCheckInvariants panics if the buffer's geometry or occupancy
-// drifted from its configuration: every set must hold exactly the
-// configured way count, and the valid-entry population can never
-// exceed the configured capacity. Marked noinline so the tagged build
-// carries a findable symbol proving the assertions are present.
+// drifted from its configuration: each buffer's flat way storage must
+// hold exactly the configured entry count, and the valid-entry
+// population can never exceed the configured capacity. Marked noinline
+// so the tagged build carries a findable symbol proving the assertions
+// are present.
 //
 //go:noinline
 func sbbCheckInvariants(s *SBB) {
+	if len(s.uWays) != s.cfg.UEntries {
+		panic(fmt.Sprintf("skiainvariants: U-SBB holds %d ways, configured %d", len(s.uWays), s.cfg.UEntries))
+	}
+	if len(s.rWays) != s.cfg.REntries {
+		panic(fmt.Sprintf("skiainvariants: R-SBB holds %d ways, configured %d", len(s.rWays), s.cfg.REntries))
+	}
 	valid := 0
-	for i := range s.uSets {
-		if len(s.uSets[i]) != s.cfg.UWays {
-			panic(fmt.Sprintf("skiainvariants: U-SBB set %d has %d ways, configured %d", i, len(s.uSets[i]), s.cfg.UWays))
-		}
-		for j := range s.uSets[i] {
-			if s.uSets[i][j].valid {
-				valid++
-			}
+	for i := range s.uWays {
+		if s.uWays[i].valid {
+			valid++
 		}
 	}
 	if valid > s.cfg.UEntries {
 		panic(fmt.Sprintf("skiainvariants: U-SBB holds %d valid entries, capacity %d", valid, s.cfg.UEntries))
 	}
 	valid = 0
-	for i := range s.rSets {
-		if len(s.rSets[i]) != s.cfg.RWays {
-			panic(fmt.Sprintf("skiainvariants: R-SBB set %d has %d ways, configured %d", i, len(s.rSets[i]), s.cfg.RWays))
-		}
-		for j := range s.rSets[i] {
-			if s.rSets[i][j].valid {
-				valid++
-			}
+	for i := range s.rWays {
+		if s.rWays[i].valid {
+			valid++
 		}
 	}
 	if valid > s.cfg.REntries {

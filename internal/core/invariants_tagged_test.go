@@ -10,18 +10,18 @@ import (
 )
 
 // TestInvariantFiresOnCorruptedSBB corrupts the buffer's geometry the
-// way only a bug could (an extra way appended to a set) and asserts
+// way only a bug could (an extra way appended to the U-SBB) and asserts
 // the tagged build's occupancy assertion trips on the next insert.
 func TestInvariantFiresOnCorruptedSBB(t *testing.T) {
 	if !invariantsEnabled {
 		t.Fatal("tagged build must enable invariants")
 	}
 	s := tinySBB()
-	s.uSets[0] = append(s.uSets[0], uWay{valid: true})
+	s.uWays = append(s.uWays, uWay{valid: true})
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("corrupted U-SBB set geometry did not trip the invariant")
+			t.Fatal("corrupted U-SBB geometry did not trip the invariant")
 		}
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "skiainvariants") {
 			t.Fatalf("unexpected panic payload %v", r)

@@ -17,7 +17,7 @@ func TestInvariantsCompiledOutByDefault(t *testing.T) {
 		t.Fatal("default build must not enable invariants")
 	}
 	s := tinySBB()
-	s.uSets[0] = append(s.uSets[0], uWay{valid: true})
+	s.uWays = append(s.uWays, uWay{valid: true})
 	defer func() {
 		if r := recover(); r != nil {
 			t.Fatalf("untagged build panicked on corrupted SBB: %v", r)

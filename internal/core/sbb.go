@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -118,10 +119,14 @@ type SBBStats struct {
 // indexed by cache-line address with a 6-bit in-line offset payload
 // (paper Figure 12). Not safe for concurrent use.
 type SBB struct {
-	cfg   SBBConfig
-	uSets [][]uWay
-	rSets [][]rWay
-	tick  uint64
+	cfg SBBConfig
+	// uWays and rWays hold each buffer's sets back to back: U-SBB set
+	// i is uWays[i*cfg.UWays:(i+1)*cfg.UWays], and likewise for the
+	// R-SBB. uSets and rSets are the set counts.
+	uWays        []uWay
+	rWays        []rWay
+	uSets, rSets uint64
+	tick         uint64
 	// cycle stamps inserts and dates departures; the SBB has no clock
 	// of its own, so its owner sets it (SetCycle).
 	cycle uint64
@@ -131,23 +136,16 @@ type SBB struct {
 // Clone returns an independent deep copy of the SBB: same buffer
 // contents, LRU state, cycle, and statistics.
 func (s *SBB) Clone() *SBB {
-	n := &SBB{
+	return &SBB{
 		cfg:   s.cfg,
-		uSets: make([][]uWay, len(s.uSets)),
-		rSets: make([][]rWay, len(s.rSets)),
+		uWays: slices.Clone(s.uWays),
+		rWays: slices.Clone(s.rWays),
+		uSets: s.uSets,
+		rSets: s.rSets,
 		tick:  s.tick,
 		cycle: s.cycle,
 		stats: s.stats,
 	}
-	for i, set := range s.uSets {
-		n.uSets[i] = make([]uWay, len(set))
-		copy(n.uSets[i], set)
-	}
-	for i, set := range s.rSets {
-		n.rSets[i] = make([]rWay, len(set))
-		copy(n.rSets[i], set)
-	}
-	return n
 }
 
 // SetCycle sets the cycle that stamps later inserts and dates the
@@ -165,20 +163,13 @@ func NewSBB(cfg SBBConfig) (*SBB, error) {
 	if cfg.TagBits <= 0 || cfg.TagBits > 40 {
 		return nil, fmt.Errorf("core: SBB tag bits %d out of range", cfg.TagBits)
 	}
-	s := &SBB{cfg: cfg}
-	if n := cfg.UEntries / cfg.UWays; n > 0 {
-		s.uSets = make([][]uWay, n)
-		for i := range s.uSets {
-			s.uSets[i] = make([]uWay, cfg.UWays)
-		}
-	}
-	if n := cfg.REntries / cfg.RWays; n > 0 {
-		s.rSets = make([][]rWay, n)
-		for i := range s.rSets {
-			s.rSets[i] = make([]rWay, cfg.RWays)
-		}
-	}
-	return s, nil
+	return &SBB{
+		cfg:   cfg,
+		uWays: make([]uWay, cfg.UEntries),
+		rWays: make([]rWay, cfg.REntries),
+		uSets: uint64(cfg.UEntries / cfg.UWays),
+		rSets: uint64(cfg.REntries / cfg.RWays),
+	}, nil
 }
 
 // MustNewSBB is NewSBB for static configurations.
@@ -199,22 +190,20 @@ func (s *SBB) Stats() SBBStats { return s.stats }
 // ResetStats zeroes statistics, preserving contents.
 func (s *SBB) ResetStats() { s.stats = SBBStats{} }
 
-// uIndex maps a branch PC to its U-SBB set and tag. Set counts need not
-// be powers of two (the paper's 2024-entry R-SBB is not), so indexing
-// is modulo with the remaining bits as tag material.
-func (s *SBB) uIndex(pc uint64) (int, uint64) {
-	n := uint64(len(s.uSets))
-	set := int(pc % n)
-	tag := (pc / n) & ((1 << uint(s.cfg.TagBits)) - 1)
-	return set, tag
+// uIndex maps a branch PC to its U-SBB set's ways and its tag. Set
+// counts need not be powers of two (the paper's 2024-entry R-SBB is
+// not), so indexing is modulo with the remaining bits as tag material.
+func (s *SBB) uIndex(pc uint64) ([]uWay, uint64) {
+	w := s.cfg.UWays
+	i := int(pc%s.uSets) * w
+	return s.uWays[i : i+w : i+w], (pc / s.uSets) & ((1 << uint(s.cfg.TagBits)) - 1)
 }
 
-func (s *SBB) rIndex(lineAddr uint64) (int, uint64) {
-	n := uint64(len(s.rSets))
+func (s *SBB) rIndex(lineAddr uint64) ([]rWay, uint64) {
 	l := lineAddr >> 6
-	set := int(l % n)
-	tag := (l / n) & ((1 << uint(s.cfg.TagBits)) - 1)
-	return set, tag
+	w := s.cfg.RWays
+	i := int(l%s.rSets) * w
+	return s.rWays[i : i+w : i+w], (l / s.rSets) & ((1 << uint(s.cfg.TagBits)) - 1)
 }
 
 // LookupU probes the U-SBB for a direct unconditional branch or call at
@@ -222,12 +211,12 @@ func (s *SBB) rIndex(lineAddr uint64) (int, uint64) {
 //
 //skia:noalloc
 func (s *SBB) LookupU(pc uint64) (UEntry, bool) {
-	if len(s.uSets) == 0 {
+	if s.uSets == 0 {
 		return UEntry{}, false
 	}
 	set, tag := s.uIndex(pc)
-	for w := range s.uSets[set] {
-		wy := &s.uSets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
 			s.tick++
 			wy.lru = s.tick
@@ -243,13 +232,13 @@ func (s *SBB) LookupU(pc uint64) (UEntry, bool) {
 //
 //skia:noalloc
 func (s *SBB) LookupR(pc uint64) bool {
-	if len(s.rSets) == 0 {
+	if s.rSets == 0 {
 		return false
 	}
 	set, tag := s.rIndex(program.LineAddr(pc))
 	off := uint8(program.LineOffset(pc))
-	for w := range s.rSets[set] {
-		wy := &s.rSets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag && wy.offset == off {
 			s.tick++
 			wy.lru = s.tick
@@ -329,7 +318,7 @@ func (s *SBB) Insert(sb ShadowBranch, btbResident bool) (d Departure, displaced 
 
 //skia:noalloc
 func (s *SBB) insertU(sb ShadowBranch) (Departure, bool) {
-	if len(s.uSets) == 0 {
+	if s.uSets == 0 {
 		return Departure{}, false
 	}
 	set, tag := s.uIndex(sb.PC)
@@ -339,8 +328,8 @@ func (s *SBB) insertU(sb ShadowBranch) (Departure, bool) {
 		IsCall: sb.Class == isa.ClassCall,
 		Len:    sb.Len,
 	}
-	for w := range s.uSets[set] {
-		wy := &s.uSets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
 			// Refresh in place; keep the retired bit (re-decoding the
 			// same shadow region is common). A differing stored PC means
@@ -356,8 +345,8 @@ func (s *SBB) insertU(sb ShadowBranch) (Departure, bool) {
 			return d, aliased
 		}
 	}
-	w := victimU(s.uSets[set], s.cfg.RetiredFirstEviction)
-	v := &s.uSets[set][w]
+	w := victimU(set, s.cfg.RetiredFirstEviction)
+	v := &set[w]
 	var d Departure
 	evicted := v.valid
 	if evicted {
@@ -371,14 +360,14 @@ func (s *SBB) insertU(sb ShadowBranch) (Departure, bool) {
 
 //skia:noalloc
 func (s *SBB) insertR(pc uint64) (Departure, bool) {
-	if len(s.rSets) == 0 {
+	if s.rSets == 0 {
 		return Departure{}, false
 	}
 	set, tag := s.rIndex(program.LineAddr(pc))
 	off := uint8(program.LineOffset(pc))
 	s.tick++
-	for w := range s.rSets[set] {
-		wy := &s.rSets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag && wy.offset == off {
 			var d Departure
 			aliased := wy.pc != pc
@@ -390,8 +379,8 @@ func (s *SBB) insertR(pc uint64) (Departure, bool) {
 			return d, aliased
 		}
 	}
-	w := victimR(s.rSets[set], s.cfg.RetiredFirstEviction)
-	v := &s.rSets[set][w]
+	w := victimR(set, s.cfg.RetiredFirstEviction)
+	v := &set[w]
 	var d Departure
 	evicted := v.valid
 	if evicted {
@@ -408,13 +397,13 @@ func (s *SBB) insertR(pc uint64) (Departure, bool) {
 func (s *SBB) MarkRetired(pc uint64, class isa.Class) {
 	switch class {
 	case isa.ClassReturn:
-		if len(s.rSets) == 0 {
+		if s.rSets == 0 {
 			return
 		}
 		set, tag := s.rIndex(program.LineAddr(pc))
 		off := uint8(program.LineOffset(pc))
-		for w := range s.rSets[set] {
-			wy := &s.rSets[set][w]
+		for w := range set {
+			wy := &set[w]
 			if wy.valid && wy.tag == tag && wy.offset == off {
 				if !wy.retired {
 					wy.retired = true
@@ -424,12 +413,12 @@ func (s *SBB) MarkRetired(pc uint64, class isa.Class) {
 			}
 		}
 	default:
-		if len(s.uSets) == 0 {
+		if s.uSets == 0 {
 			return
 		}
 		set, tag := s.uIndex(pc)
-		for w := range s.uSets[set] {
-			wy := &s.uSets[set][w]
+		for w := range set {
+			wy := &set[w]
 			if wy.valid && wy.tag == tag {
 				if !wy.retired {
 					wy.retired = true
@@ -447,25 +436,25 @@ func (s *SBB) MarkRetired(pc uint64, class isa.Class) {
 // LookupU/LookupR.
 func (s *SBB) Contains(pc uint64, class isa.Class) bool {
 	if class == isa.ClassReturn {
-		if len(s.rSets) == 0 {
+		if s.rSets == 0 {
 			return false
 		}
 		set, tag := s.rIndex(program.LineAddr(pc))
 		off := uint8(program.LineOffset(pc))
-		for w := range s.rSets[set] {
-			wy := &s.rSets[set][w]
+		for w := range set {
+			wy := &set[w]
 			if wy.valid && wy.tag == tag && wy.offset == off {
 				return true
 			}
 		}
 		return false
 	}
-	if len(s.uSets) == 0 {
+	if s.uSets == 0 {
 		return false
 	}
 	set, tag := s.uIndex(pc)
-	for w := range s.uSets[set] {
-		wy := &s.uSets[set][w]
+	for w := range set {
+		wy := &set[w]
 		if wy.valid && wy.tag == tag {
 			return true
 		}
@@ -477,10 +466,10 @@ func (s *SBB) Contains(pc uint64, class isa.Class) bool {
 // bogus (the decode stage found no such branch on the true path) and
 // returns their full PCs: gone[:n], one per buffer that held pc.
 func (s *SBB) Invalidate(pc uint64) (gone [2]uint64, n int) {
-	if len(s.uSets) > 0 {
+	if s.uSets > 0 {
 		set, tag := s.uIndex(pc)
-		for w := range s.uSets[set] {
-			wy := &s.uSets[set][w]
+		for w := range set {
+			wy := &set[w]
 			if wy.valid && wy.tag == tag {
 				gone[n] = wy.pc
 				n++
@@ -490,11 +479,11 @@ func (s *SBB) Invalidate(pc uint64) (gone [2]uint64, n int) {
 			}
 		}
 	}
-	if len(s.rSets) > 0 {
+	if s.rSets > 0 {
 		set, tag := s.rIndex(program.LineAddr(pc))
 		off := uint8(program.LineOffset(pc))
-		for w := range s.rSets[set] {
-			wy := &s.rSets[set][w]
+		for w := range set {
+			wy := &set[w]
 			if wy.valid && wy.tag == tag && wy.offset == off {
 				gone[n] = wy.pc
 				n++

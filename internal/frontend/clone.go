@@ -66,12 +66,8 @@ func (f *FrontEnd) Clone() *FrontEnd {
 		done:       f.done,
 		err:        f.err,
 
-		sbdDue: f.sbdDue,
-		stats:  f.stats,
-	}
-	if f.sbdTasks != nil {
-		n.sbdTasks = make([]sbdTask, len(f.sbdTasks))
-		copy(n.sbdTasks, f.sbdTasks)
+		sbdQ:  f.sbdQ.clone(),
+		stats: f.stats,
 	}
 	n.extraOffs = make(map[uint64]uint64, len(f.extraOffs))
 	for la, m := range f.extraOffs {
@@ -129,7 +125,7 @@ func (f *FrontEnd) squash(n uint64) uint64 {
 	f.hasRedir = false
 	f.iagStallTill = 0
 	f.idleStreak = 0
-	f.clearSBD()
+	f.sbdQ.clear()
 	if f.hasPending && n > 0 {
 		f.consume()
 		return 1

@@ -83,8 +83,9 @@ func TestWarmDecodesShareDecodeCache(t *testing.T) {
 	before := dc.Stats()
 
 	f.l1i.Prefetch(la)
-	f.clearSBD()
-	f.queueSBD(sbdTask{atCycle: f.cycle, head: true, lineAddr: la, off: off})
+	f.sbdQ.clear()
+	f.sbdQ.push(f.cycle, sbdTask{atCycle: f.cycle + 1, head: true, lineAddr: la, off: off})
+	f.cycle++ // as Step does: the decode falls due the next cycle
 	f.runSBDTasks()
 
 	after := dc.Stats()

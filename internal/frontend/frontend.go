@@ -2,8 +2,8 @@ package frontend
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/attrib"
 	"repro/internal/btb"
@@ -40,6 +40,14 @@ type CondRec struct {
 }
 
 // Block is one FTQ entry: a predicted basic block.
+//
+// formBlock reuses FTQ slots without zeroing them: it resets the
+// header fields and NLines, truncates Conds, and leaves the rest as
+// the slot's previous block left it. So Lines past NLines, TermCond
+// and TermInd may hold a squashed block's values. TermCond is read
+// only when Class is DirectCond and TermInd only for the indirect
+// classes, and terminateViaBTB writes each in exactly those cases;
+// ReadyAt is written before the block is queued.
 type Block struct {
 	// Start and End delimit the block's bytes [Start, End).
 	Start, End uint64
@@ -104,6 +112,58 @@ type sbdTask struct {
 	off      int
 }
 
+// sbdRing queues shadow decodes in per-cycle buckets: a task due at
+// cycle c sits in bucket c&(len-1), in queue order. New sizes the ring
+// past the longest queue-to-due delay, so a bucket never holds two
+// cycles' tasks, and Step, the only code that advances the cycle,
+// takes one bucket per cycle.
+type sbdRing [][]sbdTask
+
+// newSBDRing returns a ring for tasks due at most maxDelay cycles
+// after they are queued.
+func newSBDRing(maxDelay int) sbdRing {
+	return make(sbdRing, 1<<bits.Len(uint(maxDelay)))
+}
+
+// push queues t during cycle now. A task already due runs next cycle:
+// this cycle's bucket has been taken.
+//
+//skia:noalloc
+func (r sbdRing) push(now uint64, t sbdTask) {
+	i := max(t.atCycle, now+1) & uint64(len(r)-1)
+	r[i] = append(r[i], t)
+}
+
+// take empties the bucket of cycle now and returns its tasks, which
+// stay valid until the next push.
+//
+//skia:noalloc
+func (r sbdRing) take(now uint64) []sbdTask {
+	i := now & uint64(len(r)-1)
+	b := r[i]
+	r[i] = b[:0]
+	return b
+}
+
+// clear drops every queued task, keeping the buckets' capacity.
+func (r sbdRing) clear() {
+	for i := range r {
+		r[i] = r[i][:0]
+	}
+}
+
+// clone returns an independent copy of r.
+func (r sbdRing) clone() sbdRing {
+	if r == nil {
+		return nil
+	}
+	n := make(sbdRing, len(r))
+	for i, b := range r {
+		n[i] = slices.Clone(b)
+	}
+	return n
+}
+
 // FrontEnd is the full decoupled front-end for one simulation run. Not
 // safe for concurrent use; create one per run.
 type FrontEnd struct {
@@ -144,11 +204,9 @@ type FrontEnd struct {
 	err        error
 	// scratch is a per-call decode buffer, dead between Cycle calls.
 	//skia:shared-ok transient scratch: fully overwritten before every use, never holds state across cycles
-	scratch  []core.ShadowBranch
-	sbdTasks []sbdTask
-	// sbdDue is the earliest atCycle among sbdTasks (MaxUint64 when
-	// none is pending), so cycles with no due task skip the scan.
-	sbdDue uint64
+	scratch []core.ShadowBranch
+	// sbdQ queues shadow decodes (nil without Skia).
+	sbdQ sbdRing
 	// extraOffs registers SBB-inserted PCs that are not static branch
 	// starts as probe candidates: one bit per byte offset in the line
 	// (LineSize = 64). Bits are cleared when the SBB reports that the
@@ -210,10 +268,14 @@ func New(cfg Config, w *workload.Workload) (*FrontEnd, error) {
 		specPC:    w.Prog.Entry,
 		entryTgt:  true,
 		extraOffs: make(map[uint64]uint64),
-		sbdDue:    math.MaxUint64,
 	}
 	if cfg.Skia {
+		if min(cfg.FetchLatency, cfg.L1IMissLatency, cfg.L2MissLatency, cfg.SBD.Latency) < 0 {
+			return nil, fmt.Errorf("frontend: negative latency (fetch %d, L1-I miss %d, L2 miss %d, SBD %d)",
+				cfg.FetchLatency, cfg.L1IMissLatency, cfg.L2MissLatency, cfg.SBD.Latency)
+		}
 		f.sbd = core.NewSBD(cfg.SBD)
+		f.sbdQ = newSBDRing(cfg.FetchLatency + max(cfg.L1IMissLatency, cfg.L2MissLatency) + cfg.SBD.Latency)
 		if !cfg.NoDecodeCache {
 			f.dcache = core.NewDecodeCache()
 			f.sbd.AttachCache(f.dcache)
@@ -480,12 +542,13 @@ func (f *FrontEnd) candidates(lineAddr uint64) uint64 {
 //
 //skia:noalloc
 func (f *FrontEnd) formBlock(blk *Block) {
-	*blk = Block{
-		Start:         f.specPC,
-		EntryIsTarget: f.entryTgt,
-		WrongPath:     f.hasRedir,
-		Conds:         blk.Conds[:0],
-	}
+	// Reset the header only; see Block for the fields left stale.
+	blk.Start, blk.End, blk.BranchPC, blk.Target = f.specPC, 0, 0, 0
+	blk.Class = 0
+	blk.TakenPred, blk.ViaSBB = false, false
+	blk.EntryIsTarget, blk.WrongPath = f.entryTgt, f.hasRedir
+	blk.NLines = 0
+	blk.Conds = blk.Conds[:0]
 	pos := f.specPC
 
 scan:
@@ -594,7 +657,7 @@ scan:
 		if la, off := program.LineAddr(blk.Start), program.LineOffset(blk.Start); off > 0 {
 			f.emit(metrics.Event{Kind: metrics.EvShadowHead, PC: la, Arg: uint64(off)})
 			if f.sbd != nil {
-				f.queueSBD(sbdTask{atCycle: sbdAt, head: true, lineAddr: la, off: off})
+				f.sbdQ.push(f.cycle, sbdTask{atCycle: sbdAt, head: true, lineAddr: la, off: off})
 			}
 		}
 	}
@@ -602,7 +665,7 @@ scan:
 		if la, off := program.LineAddr(blk.End), program.LineOffset(blk.End); off != 0 {
 			f.emit(metrics.Event{Kind: metrics.EvShadowTail, PC: la, Arg: uint64(off)})
 			if f.sbd != nil {
-				f.queueSBD(sbdTask{atCycle: sbdAt, head: false, lineAddr: la, off: off})
+				f.sbdQ.push(f.cycle, sbdTask{atCycle: sbdAt, head: false, lineAddr: la, off: off})
 			}
 		}
 	}
@@ -662,37 +725,13 @@ func (f *FrontEnd) terminateViaBTB(blk *Block, pc uint64, e btb.Entry) bool {
 	return true
 }
 
-// queueSBD schedules a shadow decode.
-//
-//skia:noalloc
-func (f *FrontEnd) queueSBD(t sbdTask) {
-	f.sbdTasks = append(f.sbdTasks, t)
-	f.sbdDue = min(f.sbdDue, t.atCycle)
-}
-
-// clearSBD drops every queued shadow decode.
-func (f *FrontEnd) clearSBD() {
-	f.sbdTasks = f.sbdTasks[:0]
-	f.sbdDue = math.MaxUint64
-}
-
-// runSBDTasks executes, in queue order, shadow decodes whose latency
-// has elapsed and whose line is still L1-I resident, inserting results
-// into the SBB.
+// runSBDTasks executes, in queue order, the shadow decodes due this
+// cycle whose line is still L1-I resident, inserting results into the
+// SBB.
 //
 //skia:noalloc
 func (f *FrontEnd) runSBDTasks() {
-	if f.cycle < f.sbdDue {
-		return
-	}
-	kept := f.sbdTasks[:0]
-	f.sbdDue = math.MaxUint64
-	for _, t := range f.sbdTasks {
-		if t.atCycle > f.cycle {
-			kept = append(kept, t)
-			f.sbdDue = min(f.sbdDue, t.atCycle)
-			continue
-		}
+	for _, t := range f.sbdQ.take(f.cycle) {
 		if !f.l1i.Contains(t.lineAddr) {
 			continue // line evicted before the decoder got to it
 		}
@@ -703,7 +742,6 @@ func (f *FrontEnd) runSBDTasks() {
 		f.shadowDecode(line, t.lineAddr, t.off, t.head)
 		f.insertShadow()
 	}
-	f.sbdTasks = kept
 }
 
 // insertShadow inserts the shadow branches of the last shadowDecode
